@@ -26,6 +26,7 @@
 mod broker;
 mod error;
 pub mod fault;
+mod queue;
 pub mod remote;
 pub mod remote_rpc;
 mod rpc;
@@ -35,6 +36,7 @@ pub mod transport;
 
 pub use broker::Broker;
 pub use error::BusError;
+pub use queue::OverflowPolicy;
 pub use remote_rpc::{RemoteRpcClient, RemoteRpcServer, RpcServerOptions, RpcServerStats};
 pub use rpc::{RpcClient, RpcServer};
-pub use topic::{OverflowPolicy, Publisher, Subscription};
+pub use topic::{Publisher, Subscription};

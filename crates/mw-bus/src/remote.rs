@@ -66,8 +66,9 @@ use rand::{Rng, SeedableRng};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
+use crate::queue::{BoundedQueue, OverflowPolicy, Pushed};
 use crate::topic::{Publisher, Subscription};
-use crate::transport::{Frame, FrameKind, FrameTransport, TcpFrameTransport};
+use crate::transport::{wake_accept_loop, Frame, FrameKind, FrameTransport, TcpFrameTransport};
 
 pub use crate::transport::MAX_FRAME_BYTES;
 
@@ -122,7 +123,8 @@ pub struct ServerStats {
     /// Frames evicted from full per-client queues (slow-subscriber
     /// drops).
     pub frames_dropped: u64,
-    /// Heartbeats written across all clients.
+    /// Heartbeats written across all clients, counted as each write is
+    /// issued.
     pub heartbeats_sent: u64,
     /// Connections that failed or garbled the handshake.
     pub handshake_failures: u64,
@@ -171,12 +173,9 @@ impl ServerCounters {
     }
 }
 
-/// One registered client's outbound queue.
-#[derive(Debug)]
-struct ClientHandle {
-    queue: Mutex<VecDeque<Arc<Frame>>>,
-    gone: AtomicBool,
-}
+/// One registered client's outbound frames: the forward loop pushes, the
+/// client's writer thread parks on it.
+type ClientQueue = BoundedQueue<Arc<Frame>>;
 
 /// State shared between the forward loop and per-client threads. One
 /// lock covers sequence assignment, the replay buffer, and the client
@@ -186,7 +185,7 @@ struct ServerShared {
     /// Next sequence number to assign; sequence numbers start at 1.
     next_seq: u64,
     replay: VecDeque<Arc<Frame>>,
-    clients: Vec<Arc<ClientHandle>>,
+    clients: Vec<Arc<ClientQueue>>,
 }
 
 impl ServerShared {
@@ -238,7 +237,6 @@ impl RemoteTopicServer {
     {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(ServerCounters::new(options.metrics.as_ref()));
         let shared = Arc::new(Mutex::new(ServerShared::new()));
@@ -248,29 +246,25 @@ impl RemoteTopicServer {
         let subscription = topic.subscribe();
 
         // Accept loop: hand each connection to its own handshake+writer
-        // thread.
+        // thread. It blocks in `accept`; `shutdown` unblocks it with a
+        // connection of its own.
         {
             let stop = Arc::clone(&stop);
             let counters = Arc::clone(&counters);
             let shared = Arc::clone(&shared);
             let options = options.clone();
             std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let stop = Arc::clone(&stop);
-                            let counters = Arc::clone(&counters);
-                            let shared = Arc::clone(&shared);
-                            let options = options.clone();
-                            std::thread::spawn(move || {
-                                serve_client(stream, &stop, &counters, &shared, &options);
-                            });
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
+                while let Ok((stream, _)) = listener.accept() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
                     }
+                    let stop = Arc::clone(&stop);
+                    let counters = Arc::clone(&counters);
+                    let shared = Arc::clone(&shared);
+                    let options = options.clone();
+                    std::thread::spawn(move || {
+                        serve_client(stream, &stop, &counters, &shared, &options);
+                    });
                 }
             });
         }
@@ -301,12 +295,9 @@ impl RemoteTopicServer {
                     state.replay.pop_front();
                 }
                 for client in &state.clients {
-                    let mut queue = client.queue.lock();
-                    if queue.len() >= options.client_queue_capacity {
-                        queue.pop_front();
+                    if client.push(Arc::clone(&frame)) == Pushed::EvictedOldest {
                         counters.frames_dropped.inc();
                     }
-                    queue.push_back(Arc::clone(&frame));
                 }
                 drop(state);
                 counters.frames_published.inc();
@@ -342,7 +333,15 @@ impl RemoteTopicServer {
     /// Stops the accept, forward, and per-client threads (also done on
     /// drop).
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        if self.stop.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        // Writers park on their queues and the accept loop in `accept`;
+        // neither looks at `stop` until woken.
+        for client in &self.shared.lock().clients {
+            client.close();
+        }
+        wake_accept_loop(self.local_addr);
     }
 }
 
@@ -380,41 +379,46 @@ fn serve_client(
 
     // Register under the shared lock so the preloaded replay frames and
     // the live forwarding stream meet without a gap or overlap.
-    let handle = Arc::new(ClientHandle {
-        queue: Mutex::new(VecDeque::new()),
-        gone: AtomicBool::new(false),
-    });
-    let start = {
+    let (queue, start) = {
         let mut state = shared.lock();
-        let start = if resume_from == 0 {
+        if stop.load(Ordering::Relaxed) {
+            // `shutdown` has already closed the registered queues; this
+            // one would park for a whole heartbeat interval unnoticed.
+            return;
+        }
+        let preload: VecDeque<Arc<Frame>> = if resume_from == 0 {
             // Fresh subscriber: from now, no history.
-            state.next_seq
+            VecDeque::new()
         } else {
             // Resume: replay retained frames at or after the requested
             // sequence. Preloading bypasses the queue bound on purpose —
             // clipping the replay would just force another reconnect.
-            let mut queue = handle.queue.lock();
-            for frame in state.replay.iter().filter(|f| f.seq >= resume_from) {
-                queue.push_back(Arc::clone(frame));
-            }
-            queue.front().map_or(state.next_seq, |f| f.seq)
+            let resumed = state.replay.iter().filter(|f| f.seq >= resume_from);
+            resumed.cloned().collect()
         };
-        state.clients.push(Arc::clone(&handle));
-        start
+        let start = preload.front().map_or(state.next_seq, |f| f.seq);
+        let queue = Arc::new(ClientQueue::new(
+            preload,
+            options.client_queue_capacity,
+            OverflowPolicy::DropOldest,
+        ));
+        state.clients.push(Arc::clone(&queue));
+        (queue, start)
     };
 
     if transport
         .send(&Frame::control(FrameKind::HelloAck, start))
         .is_err()
     {
-        unregister(shared, &handle);
+        unregister(shared, &queue);
         counters.handshake_failures.inc();
         return;
     }
     counters.clients_connected.inc();
 
-    // Writer loop: drain the queue; heartbeat when idle; evict on any
-    // write failure. A failed *data* write and a failed *heartbeat*
+    // Writer loop: park until the forward loop queues a frame or the
+    // next heartbeat is due, whichever is first; evict on any write
+    // failure. A failed *data* write and a failed *heartbeat*
     // write are counted apart: the latter means the liveness probe
     // itself proved the peer dead (`evicted_peers`), which is what a
     // cluster directory watches to declare a node gone.
@@ -427,35 +431,37 @@ fn serve_client(
     let mut last_write = Instant::now();
     let mut last_seq_sent = start.saturating_sub(1);
     let evicted = loop {
+        // An interval too long for the clock to represent: no heartbeat.
+        let heartbeat_due = last_write.checked_add(options.heartbeat_interval);
+        let next = queue.pop_wait(heartbeat_due);
         if stop.load(Ordering::Relaxed) {
             break Eviction::None;
         }
-        let next = handle.queue.lock().pop_front();
         match next {
             Some(frame) => {
                 if transport.send(&frame).is_err() {
                     break Eviction::SendFailure;
                 }
                 last_seq_sent = frame.seq;
-                last_write = Instant::now();
             }
+            // Empty-handed from a closed queue: nothing more will come.
+            None if queue.is_closed() => break Eviction::None,
+            // Otherwise the deadline passed. The heartbeat is counted
+            // before it is written so that no client can have seen one
+            // the server has yet to count.
             None => {
-                if last_write.elapsed() >= options.heartbeat_interval {
-                    if transport
-                        .send(&Frame::control(FrameKind::Heartbeat, last_seq_sent))
-                        .is_err()
-                    {
-                        break Eviction::DeadPeer;
-                    }
-                    counters.heartbeats_sent.inc();
-                    last_write = Instant::now();
-                } else {
-                    std::thread::sleep(Duration::from_millis(1));
+                counters.heartbeats_sent.inc();
+                if transport
+                    .send(&Frame::control(FrameKind::Heartbeat, last_seq_sent))
+                    .is_err()
+                {
+                    break Eviction::DeadPeer;
                 }
             }
         }
+        last_write = Instant::now();
     };
-    unregister(shared, &handle);
+    unregister(shared, &queue);
     match evicted {
         Eviction::None => {}
         Eviction::SendFailure => counters.clients_evicted.inc(),
@@ -466,9 +472,8 @@ fn serve_client(
     }
 }
 
-fn unregister(shared: &Mutex<ServerShared>, handle: &Arc<ClientHandle>) {
-    handle.gone.store(true, Ordering::Relaxed);
-    shared.lock().clients.retain(|c| !Arc::ptr_eq(c, handle));
+fn unregister(shared: &Mutex<ServerShared>, queue: &Arc<ClientQueue>) {
+    shared.lock().clients.retain(|c| !Arc::ptr_eq(c, queue));
 }
 
 /// Tuning for [`remote_subscribe_with`] /
@@ -1084,6 +1089,58 @@ mod tests {
     }
 
     #[test]
+    fn shutdown_wakes_a_writer_parked_until_a_distant_heartbeat() {
+        let broker = Broker::new();
+        let topic = broker.topic::<u32>("parked");
+        let server = RemoteTopicServer::bind_with(
+            "127.0.0.1:0",
+            topic.clone(),
+            ServerOptions {
+                heartbeat_interval: Duration::from_secs(10),
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        let _idle = remote_subscribe::<u32>(server.local_addr()).unwrap();
+        assert_eq!(server.active_clients(), 1);
+        server.shutdown();
+        let stopped = Instant::now();
+        while server.active_clients() != 0 {
+            assert!(
+                stopped.elapsed() < Duration::from_millis(200),
+                "writer still parked after shutdown"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn closed_loop_ping_pong_is_not_paced_by_a_poll() {
+        let broker = Broker::new();
+        let topic = broker.topic::<u32>("ping-pong");
+        let server = RemoteTopicServer::bind("127.0.0.1:0", topic.clone()).unwrap();
+        let inbox = remote_subscribe::<u32>(server.local_addr()).unwrap();
+        // Each publish lands on an idle writer. A writer that looks at its
+        // queue once a millisecond needs >= 200 ms for this every time;
+        // one woken by the enqueue needs a few ms, so the best of five
+        // rounds rides out a busy test host without letting a poll pass.
+        let mut best = Duration::MAX;
+        for round in 0..5u32 {
+            let started = Instant::now();
+            for i in 0..200u32 {
+                let ping = round * 200 + i;
+                topic.publish(ping);
+                assert_eq!(inbox.recv_timeout(Duration::from_secs(2)), Some(ping));
+            }
+            best = best.min(started.elapsed());
+        }
+        assert!(
+            best < Duration::from_millis(100),
+            "200 round trips took {best:?}"
+        );
+    }
+
+    #[test]
     fn reset_mid_stream_reconnects_and_resumes() {
         let broker = Broker::new();
         let topic = broker.topic::<u32>("resume");
@@ -1210,7 +1267,7 @@ mod tests {
     #[test]
     fn slow_client_queue_is_bounded_and_drops_are_counted() {
         let broker = Broker::new();
-        let topic = broker.topic::<u64>("slow");
+        let topic = broker.topic::<String>("slow");
         let server = RemoteTopicServer::bind_with(
             "127.0.0.1:0",
             topic.clone(),
@@ -1230,26 +1287,43 @@ mod tests {
             .unwrap();
         assert_eq!(stalled.recv().unwrap().unwrap().kind, FrameKind::HelloAck);
         wait_for(|| server.active_clients() == 1, "registration");
-        for i in 0..200u64 {
-            topic.publish(i);
+        // Not reading stalls the writer only once the kernel's socket
+        // buffers are full, and those would swallow the whole burst of
+        // small frames below. Fill them with big frames, one at a time so
+        // the writer gets every chance to keep up: the first drop means it
+        // is stuck in `send` with a full queue behind it.
+        let big = "x".repeat(1 << 20);
+        let mut filler = 0;
+        while server.stats().frames_dropped == 0 {
+            assert!(filler < 256, "the writer never blocked");
+            topic.publish(big.clone());
+            filler += 1;
+            wait_for(|| server.stats().frames_published == filler, "filling");
         }
-        wait_for(|| server.stats().frames_published == 200, "forwarding");
+        for i in 0..200u64 {
+            topic.publish(i.to_string());
+        }
+        wait_for(
+            || server.stats().frames_published == filler + 200,
+            "forwarding",
+        );
         let stats = server.stats();
         assert!(
             stats.frames_dropped >= 180,
             "expected bounded queue to shed load: {stats:?}"
         );
         // The server is still fully functional for a healthy client.
-        let healthy = remote_subscribe::<u64>(server.local_addr()).unwrap();
-        topic.publish(999);
+        let healthy = remote_subscribe::<String>(server.local_addr()).unwrap();
+        topic.publish("999".to_string());
         let mut last = None;
         while let Some(v) = healthy.recv_timeout(Duration::from_secs(2)) {
+            let done = v == "999";
             last = Some(v);
-            if v == 999 {
+            if done {
                 break;
             }
         }
-        assert_eq!(last, Some(999));
+        assert_eq!(last.as_deref(), Some("999"));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
-use crate::transport::{Frame, FrameKind, FrameTransport, TcpFrameTransport};
+use crate::transport::{wake_accept_loop, Frame, FrameKind, FrameTransport, TcpFrameTransport};
 
 /// Lifetime counters exposed by [`RemoteRpcServer::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -135,37 +135,33 @@ impl RemoteRpcServer {
     {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(RpcServerCounters::new(options.metrics.as_ref()));
         let handler = Arc::new(handler);
         {
             let stop = Arc::clone(&stop);
             let counters = Arc::clone(&counters);
+            // Blocks in `accept`; `shutdown` unblocks it with a connection
+            // of its own.
             std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            counters.connections_accepted.inc();
-                            let stop = Arc::clone(&stop);
-                            let counters = Arc::clone(&counters);
-                            let handler = Arc::clone(&handler);
-                            let options = options.clone();
-                            std::thread::spawn(move || {
-                                serve_connection::<Req, Rep, H>(
-                                    TcpFrameTransport::new(stream),
-                                    &stop,
-                                    &counters,
-                                    &handler,
-                                    &options,
-                                );
-                            });
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
+                while let Ok((stream, _)) = listener.accept() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
                     }
+                    counters.connections_accepted.inc();
+                    let stop = Arc::clone(&stop);
+                    let counters = Arc::clone(&counters);
+                    let handler = Arc::clone(&handler);
+                    let options = options.clone();
+                    std::thread::spawn(move || {
+                        serve_connection::<Req, Rep, H>(
+                            TcpFrameTransport::new(stream),
+                            &stop,
+                            &counters,
+                            &handler,
+                            &options,
+                        );
+                    });
                 }
             });
         }
@@ -191,7 +187,9 @@ impl RemoteRpcServer {
     /// Stops the accept loop and lets connection threads drain (also
     /// done on drop).
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        if !self.stop.swap(true, Ordering::Relaxed) {
+            wake_accept_loop(self.local_addr);
+        }
     }
 }
 
@@ -410,6 +408,28 @@ mod tests {
         }
         assert_eq!(last, Some(30));
         drop(server);
+    }
+
+    #[test]
+    fn shutdown_unblocks_the_accept_loop_and_closes_the_listener() {
+        // The second listener is bound to the wildcard address, which
+        // `shutdown` has to reach over loopback.
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = RemoteRpcServer::bind::<u32, u32, _>(bind, |n| n).unwrap();
+            let addr = server.local_addr();
+            server.shutdown();
+            // The accept thread owns the listener: the port is free only
+            // once it has come out of `accept` and exited. Probing with
+            // `bind` rather than `connect` keeps the test from waking it.
+            let stopped = std::time::Instant::now();
+            while TcpListener::bind(addr).is_err() {
+                assert!(
+                    stopped.elapsed() < Duration::from_secs(2),
+                    "accept loop on {bind} still listening after shutdown"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
     }
 
     #[test]

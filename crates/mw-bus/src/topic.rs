@@ -1,36 +1,12 @@
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
-/// What a bounded subscription does with a new message when its queue is
-/// full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OverflowPolicy {
-    /// Evict the oldest queued message to make room — the subscriber
-    /// keeps up with the present and loses the past.
-    DropOldest,
-    /// Discard the incoming message — the subscriber keeps the past and
-    /// misses the present.
-    DropNewest,
-}
-
-/// Queue behind a bounded subscription.
-#[derive(Debug)]
-struct BoundedQueue<T> {
-    queue: Mutex<VecDeque<T>>,
-    capacity: usize,
-    policy: OverflowPolicy,
-    /// Messages lost to the overflow policy.
-    lagged: AtomicU64,
-    /// Set when the subscription side is dropped so the publisher can
-    /// prune this queue.
-    closed: AtomicBool,
-}
+use crate::queue::{BoundedQueue, OverflowPolicy, Pushed};
 
 /// The sender half of one subscription.
 #[derive(Debug)]
@@ -47,7 +23,26 @@ enum SubscriberTx<T> {
 /// per subscriber; subscribers that were dropped are pruned lazily.
 #[derive(Debug, Clone)]
 pub struct Publisher<T> {
-    subscribers: Arc<Mutex<Vec<SubscriberTx<T>>>>,
+    topic: Arc<Topic<T>>,
+}
+
+/// The state every [`Publisher`] handle of one topic shares; dropped with
+/// the last of them.
+#[derive(Debug)]
+struct Topic<T> {
+    subscribers: Mutex<Vec<SubscriberTx<T>>>,
+}
+
+impl<T> Drop for Topic<T> {
+    /// Ends blocked bounded receives. (Unbounded ones end when their
+    /// channel's sender is dropped with the list.)
+    fn drop(&mut self) {
+        for tx in self.subscribers.get_mut().iter() {
+            if let SubscriberTx::Bounded(queue) = tx {
+                queue.close();
+            }
+        }
+    }
 }
 
 impl<T: Clone> Publisher<T> {
@@ -55,7 +50,9 @@ impl<T: Clone> Publisher<T> {
     #[must_use]
     pub fn new() -> Self {
         Publisher {
-            subscribers: Arc::new(Mutex::new(Vec::new())),
+            topic: Arc::new(Topic {
+                subscribers: Mutex::new(Vec::new()),
+            }),
         }
     }
 
@@ -67,7 +64,8 @@ impl<T: Clone> Publisher<T> {
     pub fn subscribe(&self) -> Subscription<T> {
         let (tx, rx) = unbounded();
         let closed = Arc::new(AtomicBool::new(false));
-        self.subscribers
+        self.topic
+            .subscribers
             .lock()
             .push(SubscriberTx::Channel(tx, Arc::clone(&closed)));
         Subscription {
@@ -86,21 +84,17 @@ impl<T: Clone> Publisher<T> {
     #[must_use]
     pub fn subscribe_bounded(&self, capacity: usize, policy: OverflowPolicy) -> Subscription<T> {
         assert!(capacity > 0, "bounded subscription needs capacity >= 1");
-        let queue = Arc::new(BoundedQueue {
-            queue: Mutex::new(VecDeque::with_capacity(capacity)),
+        let queue = Arc::new(BoundedQueue::new(
+            VecDeque::with_capacity(capacity),
             capacity,
             policy,
-            lagged: AtomicU64::new(0),
-            closed: AtomicBool::new(false),
-        });
-        self.subscribers
+        ));
+        self.topic
+            .subscribers
             .lock()
             .push(SubscriberTx::Bounded(Arc::clone(&queue)));
         Subscription {
-            rx: SubscriptionRx::Bounded {
-                queue,
-                publisher_alive: Arc::downgrade(&self.subscribers),
-            },
+            rx: SubscriptionRx::Bounded(queue),
         }
     }
 
@@ -109,7 +103,7 @@ impl<T: Clone> Publisher<T> {
     /// whose overflow policy discarded this message is not counted, but
     /// stays subscribed).
     pub fn publish(&self, message: T) -> usize {
-        let mut subs = self.subscribers.lock();
+        let mut subs = self.topic.subscribers.lock();
         let mut delivered = 0;
         subs.retain(|tx| match tx {
             SubscriberTx::Channel(tx, closed) => {
@@ -120,24 +114,14 @@ impl<T: Clone> Publisher<T> {
                     false
                 }
             }
-            SubscriberTx::Bounded(q) => {
-                if q.closed.load(Ordering::Acquire) {
-                    return false;
+            SubscriberTx::Bounded(queue) => match queue.push(message.clone()) {
+                Pushed::Queued | Pushed::EvictedOldest => {
+                    delivered += 1;
+                    true
                 }
-                let mut queue = q.queue.lock();
-                if queue.len() >= q.capacity {
-                    q.lagged.fetch_add(1, Ordering::Relaxed);
-                    match q.policy {
-                        OverflowPolicy::DropOldest => {
-                            queue.pop_front();
-                        }
-                        OverflowPolicy::DropNewest => return true,
-                    }
-                }
-                queue.push_back(message.clone());
-                delivered += 1;
-                true
-            }
+                Pushed::Discarded => true,
+                Pushed::Closed => false,
+            },
         });
         delivered
     }
@@ -145,7 +129,7 @@ impl<T: Clone> Publisher<T> {
     /// Number of live subscribers (after pruning on the last publish).
     #[must_use]
     pub fn subscriber_count(&self) -> usize {
-        self.subscribers.lock().len()
+        self.topic.subscribers.lock().len()
     }
 
     /// Number of subscribers that have not been dropped, pruning the
@@ -154,10 +138,10 @@ impl<T: Clone> Publisher<T> {
     /// notice on an *idle* topic that nobody is listening any more.
     #[must_use]
     pub fn live_subscriber_count(&self) -> usize {
-        let mut subs = self.subscribers.lock();
+        let mut subs = self.topic.subscribers.lock();
         subs.retain(|tx| match tx {
             SubscriberTx::Channel(_, closed) => !closed.load(Ordering::Acquire),
-            SubscriberTx::Bounded(q) => !q.closed.load(Ordering::Acquire),
+            SubscriberTx::Bounded(queue) => !queue.is_closed(),
         });
         subs.len()
     }
@@ -173,12 +157,7 @@ impl<T: Clone> Default for Publisher<T> {
 #[derive(Debug)]
 enum SubscriptionRx<T> {
     Channel(Receiver<T>, Arc<AtomicBool>),
-    Bounded {
-        queue: Arc<BoundedQueue<T>>,
-        /// Dead once every publisher handle is gone, ending blocking
-        /// receives.
-        publisher_alive: Weak<Mutex<Vec<SubscriberTx<T>>>>,
-    },
+    Bounded(Arc<BoundedQueue<T>>),
 }
 
 /// The subscriber end of a pub/sub topic.
@@ -187,27 +166,12 @@ pub struct Subscription<T> {
     rx: SubscriptionRx<T>,
 }
 
-/// Poll interval for bounded-queue blocking receives.
-const BOUNDED_POLL: Duration = Duration::from_micros(500);
-
 impl<T> Subscription<T> {
     /// Blocks until the next message (or the publisher is dropped).
     pub fn recv(&self) -> Option<T> {
         match &self.rx {
             SubscriptionRx::Channel(rx, _) => rx.recv().ok(),
-            SubscriptionRx::Bounded {
-                queue,
-                publisher_alive,
-            } => loop {
-                if let Some(v) = queue.queue.lock().pop_front() {
-                    return Some(v);
-                }
-                if publisher_alive.upgrade().is_none() {
-                    // Publisher gone; drain whatever raced in.
-                    return queue.queue.lock().pop_front();
-                }
-                std::thread::sleep(BOUNDED_POLL);
-            },
+            SubscriptionRx::Bounded(queue) => queue.pop_wait(None),
         }
     }
 
@@ -215,7 +179,7 @@ impl<T> Subscription<T> {
     pub fn try_recv(&self) -> Option<T> {
         match &self.rx {
             SubscriptionRx::Channel(rx, _) => rx.try_recv().ok(),
-            SubscriptionRx::Bounded { queue, .. } => queue.queue.lock().pop_front(),
+            SubscriptionRx::Bounded(queue) => queue.try_pop(),
         }
     }
 
@@ -223,24 +187,8 @@ impl<T> Subscription<T> {
     pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
         match &self.rx {
             SubscriptionRx::Channel(rx, _) => rx.recv_timeout(timeout).ok(),
-            SubscriptionRx::Bounded {
-                queue,
-                publisher_alive,
-            } => {
-                let deadline = Instant::now() + timeout;
-                loop {
-                    if let Some(v) = queue.queue.lock().pop_front() {
-                        return Some(v);
-                    }
-                    if publisher_alive.upgrade().is_none() {
-                        return queue.queue.lock().pop_front();
-                    }
-                    if Instant::now() >= deadline {
-                        return None;
-                    }
-                    std::thread::sleep(BOUNDED_POLL);
-                }
-            }
+            // A timeout too long for the clock to represent never ends.
+            SubscriptionRx::Bounded(queue) => queue.pop_wait(Instant::now().checked_add(timeout)),
         }
     }
 
@@ -259,7 +207,7 @@ impl<T> Subscription<T> {
     pub fn lag_count(&self) -> u64 {
         match &self.rx {
             SubscriptionRx::Channel(..) => 0,
-            SubscriptionRx::Bounded { queue, .. } => queue.lagged.load(Ordering::Relaxed),
+            SubscriptionRx::Bounded(queue) => queue.lost(),
         }
     }
 }
@@ -268,9 +216,7 @@ impl<T> Drop for Subscription<T> {
     fn drop(&mut self) {
         match &self.rx {
             SubscriptionRx::Channel(_, closed) => closed.store(true, Ordering::Release),
-            SubscriptionRx::Bounded { queue, .. } => {
-                queue.closed.store(true, Ordering::Release);
-            }
+            SubscriptionRx::Bounded(queue) => queue.close(),
         }
     }
 }
@@ -278,6 +224,20 @@ impl<T> Drop for Subscription<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parks a thread in `recv()` on `s`, then runs `wake`, and returns
+    /// what the receive returned. Hangs when `wake` does not wake it.
+    fn recv_parked<T: Send>(
+        s: Subscription<T>,
+        wake: impl FnOnce(),
+    ) -> (Option<T>, Subscription<T>) {
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(move || (s.recv(), s));
+            std::thread::sleep(Duration::from_millis(20));
+            wake();
+            parked.join().unwrap()
+        })
+    }
 
     #[test]
     fn fan_out_to_all_subscribers() {
@@ -414,6 +374,11 @@ mod tests {
         }
         assert_eq!(s.lag_count(), 7);
         assert_eq!(s.drain(), vec![7, 8, 9]);
+        // A receive parked on the emptied queue is woken by the next
+        // publish, which loses nothing.
+        let (got, s) = recv_parked(s, || assert_eq!(topic.publish(10), 1));
+        assert_eq!(got, Some(10));
+        assert_eq!(s.lag_count(), 7);
     }
 
     #[test]
@@ -430,6 +395,47 @@ mod tests {
         // Still subscribed: new messages flow once there is room again.
         topic.publish(42);
         assert_eq!(s.recv_timeout(Duration::from_millis(100)), Some(42));
+        // ... and wake a receive parked on the emptied queue.
+        let (got, s) = recv_parked(s, || assert_eq!(topic.publish(43), 1));
+        assert_eq!(got, Some(43));
+        assert_eq!(s.lag_count(), 7);
+    }
+
+    #[test]
+    fn bounded_blocking_recv_ends_when_the_last_publisher_is_dropped() {
+        let topic: Publisher<u32> = Publisher::new();
+        let s = topic.subscribe_bounded(4, OverflowPolicy::DropOldest);
+        // One of two handles going away ends nothing.
+        drop(topic.clone());
+        topic.publish(1);
+        assert_eq!(s.recv(), Some(1));
+        let (got, s) = recv_parked(s, || drop(topic));
+        assert_eq!(got, None);
+        assert_eq!(s.recv_timeout(Duration::from_secs(5)), None);
+
+        // What was queued when the publisher went is still delivered.
+        let topic: Publisher<u32> = Publisher::new();
+        let s = topic.subscribe_bounded(4, OverflowPolicy::DropNewest);
+        topic.publish(2);
+        drop(topic);
+        assert_eq!((s.recv(), s.recv()), (Some(2), None));
+    }
+
+    #[test]
+    fn bounded_recv_timeout_honours_its_deadline() {
+        let topic: Publisher<u32> = Publisher::new();
+        let s = topic.subscribe_bounded(4, OverflowPolicy::DropOldest);
+        let started = Instant::now();
+        assert_eq!(s.recv_timeout(Duration::from_millis(30)), None);
+        let waited = started.elapsed();
+        assert!(waited >= Duration::from_millis(30), "{waited:?}");
+        assert!(waited < Duration::from_secs(1), "{waited:?}");
+        // A publish cuts the wait short instead of being found at the
+        // next poll or at the deadline.
+        let (got, _s) = recv_parked(s, || {
+            topic.publish(5);
+        });
+        assert_eq!(got, Some(5));
     }
 
     #[test]

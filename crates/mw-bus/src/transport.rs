@@ -22,7 +22,7 @@
 //! exactly as a real bit flip would be rejected.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use bytes::{Buf, BufMut, BytesMut};
@@ -360,6 +360,24 @@ impl FrameTransport for TcpFrameTransport {
     fn set_read_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.stream.set_read_timeout(timeout)
     }
+}
+
+/// Unblocks a listener thread parked in `accept` so it can observe its
+/// stop flag: connects to it and hangs up. `addr` is the listener's
+/// `local_addr`; one bound to the wildcard address is reached over
+/// loopback, since not every platform connects to `0.0.0.0`.
+///
+/// A refused connection means nobody is listening any more, which is the
+/// goal. A timed-out one means the backlog is full, and then the loop is
+/// not parked: it sees the flag after the accept it is about to make.
+pub(crate) fn wake_accept_loop(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(100));
 }
 
 #[cfg(test)]
