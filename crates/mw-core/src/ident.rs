@@ -26,6 +26,14 @@ struct Inner {
     names: Vec<Arc<str>>,
     /// Name → handle. Keys share the allocation held in `names`.
     by_name: HashMap<Arc<str>, u32>,
+    /// Running total of the canonical strings' allocations, kept by
+    /// `intern_slow` so [`Interner::heap_bytes`] never scans `names`.
+    string_bytes: usize,
+}
+
+/// One `Arc<str>` payload allocation: two `usize` refcounts + the bytes.
+fn arc_str_bytes(name: &str) -> usize {
+    name.len() + 2 * size_of::<usize>()
 }
 
 /// A concurrent append-only symbol table: string id → dense `u32`.
@@ -77,6 +85,7 @@ impl Interner {
         let handle = u32::try_from(inner.names.len()).expect("interner overflow: 2^32 identities");
         inner.names.push(Arc::clone(&canonical));
         inner.by_name.insert(Arc::clone(&canonical), handle);
+        inner.string_bytes += arc_str_bytes(name);
         (handle, canonical)
     }
 
@@ -106,28 +115,30 @@ impl Interner {
 
     /// Approximate heap bytes held by the table: the canonical strings
     /// (payload + `Arc` header) plus both indexes at their current
-    /// capacity. Feeds the `core.mem.bytes_per_object` estimate.
+    /// capacity. Feeds the `core.mem.bytes_per_object` estimate on
+    /// every ingest, so it is O(1): the string total is kept running.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let inner = self.inner.read();
-        // Arc<str> payload allocation: two usize refcounts + the bytes.
-        let strings: usize = inner
-            .names
-            .iter()
-            .map(|n| n.len() + 2 * size_of::<usize>())
-            .sum();
         let names_index = inner.names.capacity() * size_of::<Arc<str>>();
         // Hash-map bucket: key + value + one byte of control metadata,
         // rounded up to the capacity actually reserved.
         let by_name_index =
             inner.by_name.capacity() * (size_of::<Arc<str>>() + size_of::<u32>() + 1);
-        strings + names_index + by_name_index
+        inner.string_bytes + names_index + by_name_index
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The running string total must equal a scan of the table.
+    fn assert_string_bytes_match_scan(interner: &Interner) {
+        let inner = interner.inner.read();
+        let scanned: usize = inner.names.iter().map(|n| arc_str_bytes(n)).sum();
+        assert_eq!(inner.string_bytes, scanned);
+    }
 
     #[test]
     fn handles_are_dense_and_stable() {
@@ -138,6 +149,7 @@ mod tests {
         assert_eq!(b, 1);
         assert_eq!(interner.intern("alice"), a);
         assert_eq!(interner.len(), 2);
+        assert_string_bytes_match_scan(&interner);
     }
 
     #[test]
@@ -181,6 +193,7 @@ mod tests {
             let handle = interner.get(&name).expect("interned");
             assert_eq!(interner.resolve(handle).as_deref(), Some(name.as_str()));
         }
+        assert_string_bytes_match_scan(&interner);
     }
 
     #[test]
@@ -191,5 +204,6 @@ mod tests {
             interner.intern(&format!("object-number-{i}"));
         }
         assert!(interner.heap_bytes() > empty);
+        assert_string_bytes_match_scan(&interner);
     }
 }

@@ -25,6 +25,7 @@
 
 mod error;
 mod fix;
+mod grid;
 pub mod ident;
 pub mod lr;
 pub mod pool;

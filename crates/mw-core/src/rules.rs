@@ -33,7 +33,8 @@
 //!   structurally-equal subexpressions into shared DAG nodes, groups
 //!   rules with identical `(root, object filter, trigger)` into one
 //!   trigger group, and prunes candidate groups through a coarse
-//!   [`InterestGrid`] over their regions of interest.
+//!   [`InterestGrid`] (shared with the region-query snapshot) over
+//!   their regions of interest.
 //!
 //! # Evaluation order and edge state
 //!
@@ -69,6 +70,7 @@ use mw_model::{SimDuration, SimTime};
 use mw_sensors::MobileObjectId;
 use serde::{Deserialize, Serialize};
 
+use crate::grid::InterestGrid;
 use crate::ident::Interner;
 use crate::relations;
 use crate::subscription::{DeliveryPolicy, SubscriptionId, SubscriptionSpec, SubscriptionTrigger};
@@ -83,7 +85,7 @@ use crate::{CoreError, LocationFix, Notification};
 /// cost dominated that bookkeeping, and its DoS resistance buys nothing
 /// for crate-internal integer keys (DESIGN.md §15).
 #[derive(Default, Clone, Copy)]
-struct FxHasher(u64);
+pub(crate) struct FxHasher(u64);
 
 impl FxHasher {
     #[inline]
@@ -121,8 +123,8 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
-type FastState = std::hash::BuildHasherDefault<FxHasher>;
-type FastMap<K, V> = HashMap<K, V, FastState>;
+pub(crate) type FastState = std::hash::BuildHasherDefault<FxHasher>;
+pub(crate) type FastMap<K, V> = HashMap<K, V, FastState>;
 type FastSet<K> = HashSet<K, FastState>;
 
 // --- public AST ----------------------------------------------------------
@@ -604,118 +606,6 @@ struct GroupKey {
     trigger: TriggerKey,
 }
 
-// --- spatial interest index ----------------------------------------------
-
-/// Side length of one interest-grid cell in building units. Roughly one
-/// large room: small enough that an ingest's evidence window touches a
-/// handful of cells, large enough that a typical watched region does not
-/// explode into many cells.
-const INTEREST_CELL: f64 = 50.0;
-
-/// A rect spanning more cells than this is tracked in the `oversized`
-/// bucket instead of being enumerated cell by cell (64 × 64 cells).
-const MAX_RECT_CELLS: i64 = 4096;
-
-/// Coarse uniform grid over trigger-group interest rects.
-///
-/// Replaces the R-tree used by the first DAG iteration: with 10k+
-/// near-identical region rules the tree's rebalancing and per-query
-/// descent dominated registration and ingest. The grid buckets each
-/// interest rect into fixed 50-unit cells; a candidate query touches
-/// only the cells the evidence window overlaps, so its cost tracks the
-/// window size, not the rule count. Hits are *coarse* — the caller
-/// re-checks `Rect::intersects` against the group's exact interest
-/// rects, which reproduces the R-tree's semantics bit for bit.
-#[derive(Debug, Default)]
-struct InterestGrid {
-    cells: FastMap<(i64, i64), Vec<usize>>,
-    /// Groups whose interest rect was too large to enumerate; matched
-    /// against every window (the exact post-filter still applies).
-    oversized: Vec<usize>,
-}
-
-impl InterestGrid {
-    /// Inclusive cell range covered by `rect`. Float-to-int casts
-    /// saturate, so degenerate coordinates clamp instead of wrapping.
-    #[allow(clippy::cast_possible_truncation)]
-    fn cell_range(rect: &Rect) -> (i64, i64, i64, i64) {
-        (
-            (rect.min().x / INTEREST_CELL).floor() as i64,
-            (rect.min().y / INTEREST_CELL).floor() as i64,
-            (rect.max().x / INTEREST_CELL).floor() as i64,
-            (rect.max().y / INTEREST_CELL).floor() as i64,
-        )
-    }
-
-    fn span(range: (i64, i64, i64, i64)) -> i64 {
-        let (x0, y0, x1, y1) = range;
-        (x1 - x0 + 1).saturating_mul(y1 - y0 + 1)
-    }
-
-    fn insert(&mut self, rect: &Rect, group: usize) {
-        let range = Self::cell_range(rect);
-        if Self::span(range) > MAX_RECT_CELLS {
-            self.oversized.push(group);
-            return;
-        }
-        let (x0, y0, x1, y1) = range;
-        for cx in x0..=x1 {
-            for cy in y0..=y1 {
-                self.cells.entry((cx, cy)).or_default().push(group);
-            }
-        }
-    }
-
-    /// Removes one occurrence of `group` per cell `rect` covers —
-    /// mirrors `insert`, so a group registered under several rects
-    /// sharing a cell stays present until each rect is removed.
-    fn remove(&mut self, rect: &Rect, group: usize) {
-        let range = Self::cell_range(rect);
-        if Self::span(range) > MAX_RECT_CELLS {
-            if let Some(pos) = self.oversized.iter().position(|g| *g == group) {
-                self.oversized.swap_remove(pos);
-            }
-            return;
-        }
-        let (x0, y0, x1, y1) = range;
-        for cx in x0..=x1 {
-            for cy in y0..=y1 {
-                if let Some(cell) = self.cells.get_mut(&(cx, cy)) {
-                    if let Some(pos) = cell.iter().position(|g| *g == group) {
-                        cell.swap_remove(pos);
-                    }
-                    if cell.is_empty() {
-                        self.cells.remove(&(cx, cy));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Appends the groups registered in every cell `window` overlaps
-    /// (coarse: caller must post-filter against exact interest rects).
-    fn query_window(&self, window: &Rect, out: &mut Vec<usize>) {
-        let range = Self::cell_range(window);
-        if Self::span(range) > MAX_RECT_CELLS {
-            // A window this large overlaps most of the grid anyway;
-            // scanning all occupied cells keeps the cost bounded.
-            for cell in self.cells.values() {
-                out.extend_from_slice(cell);
-            }
-        } else {
-            let (x0, y0, x1, y1) = range;
-            for cx in x0..=x1 {
-                for cy in y0..=y1 {
-                    if let Some(cell) = self.cells.get(&(cx, cy)) {
-                        out.extend_from_slice(cell);
-                    }
-                }
-            }
-        }
-        out.extend_from_slice(&self.oversized);
-    }
-}
-
 // --- engine state --------------------------------------------------------
 
 /// Per-`(group, object)` trigger-edge state — the compiled counterpart
@@ -788,7 +678,7 @@ pub(crate) struct RuleEngine {
     intern: HashMap<NodeKind, usize>,
     groups: Vec<Option<Group>>,
     group_index: HashMap<GroupKey, usize>,
-    index: InterestGrid,
+    index: InterestGrid<usize>,
     /// Always-evaluate group indices, ascending.
     always: Vec<usize>,
     /// Per object handle: groups whose root held on the last evaluation
@@ -1127,18 +1017,25 @@ impl RuleEngine {
         if group.always {
             self.always.retain(|g| *g != record.group);
         }
-        for set in self.truthy.values_mut() {
-            set.retain(|g| *g != record.group);
-        }
         if self.group_index.get(&group.key) == Some(&record.group) {
             self.group_index.remove(&group.key);
         }
-        // Cached root values for the freed group are stale (the slot may
-        // be reused by an unrelated group); the frontier cache keys on
-        // DAG nodes, which persist, so it stays valid.
+        // Per-object clean-up walks the freed group's own edge state, not
+        // every object: the group is on `truthy[obj]`, and `(group, obj)`
+        // can be in the root cache, only while `state[obj].inside` —
+        // `apply_groups_into` writes all three from one evaluation, and
+        // the cache keeps true values only. (The frontier cache keys on
+        // DAG nodes, which persist, so it stays valid.)
         #[allow(clippy::cast_possible_truncation)]
-        self.root_cache
-            .retain(|&(g, _), _| g as usize != record.group);
+        for (&obj, state) in &group.state {
+            if !state.inside {
+                continue;
+            }
+            if let Some(truthy) = self.truthy.get_mut(&obj) {
+                truthy.retain(|g| *g != record.group);
+            }
+            self.root_cache.remove(&(record.group as u32, obj));
+        }
         true
     }
 
@@ -1758,11 +1655,23 @@ impl RuleEngine {
             self.touched.insert(node);
             self.node_state.insert((node, obj), state);
         }
+        // Both differential caches keep true values only, so they are
+        // bounded by edge state instead of growing by one entry per
+        // (candidate, move) forever (DESIGN.md §15). A missing entry is
+        // a miss and re-evaluates, which returns what the entry held.
         for (group, sig, value) in evaluation.root_writes {
-            self.root_cache.insert((group, obj), (sig, value));
+            if value.truth && self.groups[group as usize].is_some() {
+                self.root_cache.insert((group, obj), (sig, value));
+            } else {
+                self.root_cache.remove(&(group, obj));
+            }
         }
         for (node, sig, value) in evaluation.leaf_writes {
-            self.leaf_cache.insert((node, obj), (sig, value));
+            if value.truth {
+                self.leaf_cache.insert((node, obj), (sig, value));
+            } else {
+                self.leaf_cache.remove(&(node, obj));
+            }
         }
         for eval in evaluation.evals {
             let Some(group) = self.groups[eval.group].as_mut() else {
@@ -2273,5 +2182,109 @@ mod tests {
         engine.add(&Rule::when(in_region(0)).build().unwrap());
         let alice = engine.candidate_groups(&"alice".into(), &[region(0)]);
         assert_eq!(alice.len(), 2, "alice's filter plus the any-object group");
+    }
+
+    // --- differential caches stay bounded by edge state --------------------
+
+    /// Touching 10 × 10 tiles: an object sighted over tile `i` makes the
+    /// groups of tiles `i ± 1` candidates too (`Rect::intersects` is
+    /// inclusive), which then evaluate false.
+    fn tile(i: usize) -> Rect {
+        let x = i as f64 * 10.0;
+        Rect::new(Point::new(x, 0.0), Point::new(x + 10.0, 10.0))
+    }
+
+    /// One real fuse → select → differential evaluate → apply round for
+    /// `object` sighted over `tile(at)`; returns the cache-served count.
+    fn sight(engine: &mut RuleEngine, scratch: &mut EvalScratch, object: &str, at: usize) -> u64 {
+        use mw_sensors::{SensorReading, SensorSpec};
+        let universe = Rect::new(Point::new(0.0, 0.0), Point::new(200.0, 50.0));
+        let spec = SensorSpec::ubisense(1.0);
+        let reading = SensorReading {
+            sensor_id: "S".into(),
+            spec,
+            object: object.into(),
+            glob_prefix: "CS".parse().unwrap(),
+            region: tile(at),
+            detected_at: SimTime::ZERO,
+            time_to_live: SimDuration::from_secs(1e6),
+            tdf: mw_model::TemporalDegradation::None,
+            moving: false,
+        };
+        let fusion = SharedFusion::from_result(
+            mw_fusion::FusionEngine::new(universe).fuse(&[reading], SimTime::ZERO),
+        );
+        let windows: Vec<Rect> = fusion.result().evidence_regions().collect();
+        let object: MobileObjectId = object.into();
+        let candidates = engine.candidate_groups(&object, &windows);
+        let thresholds = BandThresholds::from_sensor_accuracies(&[spec.hit_probability()]);
+        let estimate = fusion.result().best_estimate().map(|e| e.region);
+        let input = EvalInput {
+            fusion: &fusion,
+            position: estimate.map(|r| r.center()),
+            estimate,
+            fallback_region: universe,
+            thresholds: &thresholds,
+            now: SimTime::ZERO,
+        };
+        let evaluation = engine.evaluate(&object, &candidates, &input, &|_| None, scratch, true);
+        let served = evaluation.skipped_cached;
+        engine.apply(&object, evaluation);
+        served
+    }
+
+    #[test]
+    fn differential_caches_never_outgrow_the_true_pairs() {
+        const TILES: usize = 12;
+        const OBJECTS: usize = 6;
+        let mut engine = engine(true);
+        let mut scratch = EvalScratch::new();
+        // One enter rule per tile (pure root → root cache); every other
+        // tile also a dwell rule, whose pure child is a frontier node
+        // (its own node: a child the pass already memoized for another
+        // group is never written to the frontier cache).
+        let mut enter = Vec::new();
+        for i in 0..TILES {
+            let here = Predicate::in_region(tile(i), 0.5);
+            enter.push(engine.add(&Rule::when(here).build().unwrap()));
+            if i % 2 == 0 {
+                let dwell =
+                    Predicate::in_region(tile(i), 0.6).for_at_least(SimDuration::from_secs(5.0));
+                engine.add(&Rule::when(dwell).build().unwrap());
+            }
+        }
+        let names: Vec<String> = (0..OBJECTS).map(|o| format!("p{o}")).collect();
+        let mut at: Vec<Option<usize>> = vec![None; OBJECTS];
+        let mut lcg = 12345u64;
+        for _ in 0..300 {
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let (o, to) = ((lcg >> 33) as usize % OBJECTS, (lcg >> 40) as usize % TILES);
+            at[o] = Some(to);
+            sight(&mut engine, &mut scratch, &names[o], to);
+            // Currently true: each placed object's own tile group, and
+            // that tile's frontier node where a dwell rule watches it.
+            let true_groups = at.iter().flatten().count();
+            let true_nodes = at.iter().flatten().filter(|&&t| t % 2 == 0).count();
+            assert_eq!(engine.root_cache.len(), true_groups);
+            assert_eq!(engine.leaf_cache.len(), true_nodes);
+        }
+        // What the caches are for still works: an unmoved object
+        // re-reported under an unchanged signature is served from them.
+        let (o, here) = (0, at[0].expect("300 draws place every object"));
+        assert!(sight(&mut engine, &mut scratch, &names[o], here) > 0);
+
+        // Freeing a group takes its cache entries and `truthy` marks
+        // with it, found through the group's own edge state.
+        let freed = engine.rules[&enter[here]].group;
+        let obj = engine.idents.intern(&names[o]);
+        #[allow(clippy::cast_possible_truncation)]
+        let key = (freed as u32, obj);
+        assert!(engine.root_cache.contains_key(&key));
+        assert!(engine.truthy[&obj].contains(&freed));
+        assert!(engine.remove(enter[here]));
+        assert!(engine.root_cache.keys().all(|&(g, _)| g as usize != freed));
+        assert!(engine.truthy.values().all(|set| !set.contains(&freed)));
     }
 }

@@ -19,9 +19,10 @@ use mw_geometry::Rect;
 use mw_model::{Confidence, SimDuration, SimTime, TemporalDegradation};
 use mw_obs::MetricsRegistry;
 use mw_sensors::{AdapterOutput, MobileObjectId, SensorId, SensorReading, SharedSupervisor};
-use mw_spatial_db::{SpatialDatabase, SpatialObject};
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use mw_spatial_db::{SensorReadingTable, SpatialDatabase, SpatialObject};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+use crate::grid::InterestGrid;
 use crate::lr::{Absorb, LeftRight};
 use crate::pool::WorkerPool;
 use crate::relations::{self, CoLocation, ObjectRelation, RegionRelation};
@@ -491,6 +492,10 @@ struct ShardState {
     /// Per-object bookkeeping: epochs, fusion cache, privacy,
     /// last-known-good — in the compact or legacy layout.
     store: ObjectStore,
+    /// Bumped once per op batch that mutates `db`'s reading table; a
+    /// shard's [`Occupancy`] is current exactly while its tag equals
+    /// this.
+    readings_version: u64,
 }
 
 impl ShardState {
@@ -517,9 +522,61 @@ enum Shard {
 #[derive(Debug)]
 struct LockedShard {
     state: RwLock<ShardState>,
+    /// The derived region-query index, rebuilt lazily by
+    /// [`LockedShard::region_candidates`]. Lock order: `state.read()`
+    /// first, then this mutex — never the reverse.
+    occupancy: Mutex<Option<Occupancy>>,
     /// `core.shard.contention` handle, bumped when the uncontended
     /// try-lock fast path fails and an access has to block.
     contention: Option<mw_obs::Counter>,
+}
+
+/// A shard's derived occupancy snapshot (`DESIGN.md` §10, "Region
+/// queries"): which objects hold a *stored* reading over which grid
+/// cell. Never maintained — [`Occupancy::build`] is its only writer,
+/// and a version mismatch throws the whole thing away.
+#[derive(Debug)]
+struct Occupancy {
+    /// [`ShardState::readings_version`] this was built at.
+    version: u64,
+    /// Shard-local object ids: grid payload → object.
+    objects: Vec<MobileObjectId>,
+    /// Cell → objects with a stored reading over it. Objects the
+    /// pruning bound does not cover — a decaying, oversized or
+    /// `hit < false_positive` reading — are on the grid's always list.
+    grid: InterestGrid<u32>,
+}
+
+impl Occupancy {
+    fn build(readings: &SensorReadingTable, version: u64, universe_area: f64) -> Occupancy {
+        let mut objects = Vec::new();
+        let mut grid = InterestGrid::default();
+        for (object, rows) in readings.stored_by_object() {
+            let id = u32::try_from(objects.len()).expect("shard object overflow");
+            objects.push(object.clone());
+            let mut always = false;
+            for r in rows {
+                // The bound needs a constant `h ≥ q`: at age 0 an
+                // undecaying reading shows the `h` it keeps for life.
+                let bounded = r.tdf == TemporalDegradation::None
+                    && r.hit_probability_at(r.detected_at)
+                        >= r.false_positive_probability(universe_area);
+                if bounded {
+                    grid.insert(&r.region, id);
+                } else {
+                    always = true;
+                }
+            }
+            if always {
+                grid.insert_always(id);
+            }
+        }
+        Occupancy {
+            version,
+            objects,
+            grid,
+        }
+    }
 }
 
 impl LockedShard {
@@ -541,6 +598,35 @@ impl LockedShard {
             contention.inc();
         }
         self.state.write()
+    }
+
+    /// Appends, in id order, every object of this shard that may hold a
+    /// stored reading overlapping `rect` with positive area, plus every
+    /// object the pruning bound does not cover — a superset of the
+    /// tracked objects whose posterior for `rect` can exceed the prior
+    /// share (see [`LocationService::objects_in_region`]). Rebuilds the
+    /// snapshot first when the reading table has moved since its tag.
+    fn region_candidates(&self, rect: &Rect, universe_area: f64, out: &mut Vec<MobileObjectId>) {
+        let state = self.read();
+        let mut slot = self.occupancy.lock();
+        if slot
+            .as_ref()
+            .is_none_or(|o| o.version != state.readings_version)
+        {
+            *slot = Some(Occupancy::build(
+                state.db.readings(),
+                state.readings_version,
+                universe_area,
+            ));
+        }
+        let occupancy = slot.as_ref().expect("built above");
+        let mut ids = Vec::new();
+        occupancy.grid.query_window(rect, &mut ids);
+        ids.sort_unstable();
+        ids.dedup();
+        let start = out.len();
+        out.extend(ids.iter().map(|&id| occupancy.objects[id as usize].clone()));
+        out[start..].sort();
     }
 }
 
@@ -839,6 +925,7 @@ impl Shard {
             Shard::Locked(shard) => {
                 let mut invalidated = 0u64;
                 let mut state = shard.write();
+                state.readings_version += 1;
                 for op in ops {
                     match op {
                         ShardOp::Revoke(sensor, object) => {
@@ -932,6 +1019,7 @@ impl Shard {
         match self {
             Shard::Locked(shard) => {
                 let mut state = shard.write();
+                state.readings_version += 1;
                 for reading in readings {
                     state.db.readings_mut().insert(reading);
                 }
@@ -1465,7 +1553,9 @@ impl LocationService {
                         state: RwLock::new(ShardState {
                             db: SpatialDatabase::new(),
                             store,
+                            readings_version: 0,
                         }),
+                        occupancy: Mutex::new(None),
                         contention: registry.map(|r| r.counter("core.shard.contention")),
                     };
                     if let Some(registry) = registry {
@@ -2464,6 +2554,20 @@ impl LocationService {
     /// "Who are the people in room 3105?" — all tracked objects inside the
     /// named region with probability at least `min_probability`.
     ///
+    /// Answered from the shards' occupancy snapshots whenever skipping
+    /// the rest of the population is exact (`DESIGN.md` §10): take an
+    /// object none of whose stored readings overlaps `R` with positive
+    /// area, all undecaying with `h_i ≥ q_i`. Whatever subset of them
+    /// survives expiry and conflict resolution, every inside factor of
+    /// [`mw_fusion::bayes::posterior_general`] is `q_i` and every outside
+    /// factor is `q_i + (h_i − q_i)·a_i/area_out ≥ q_i`, so its
+    /// posterior is at most the prior share `area(R∩U)/area(U)` and a
+    /// threshold above that rejects it unseen. The exhaustive walk
+    /// remains for thresholds at or below the prior share, for a
+    /// supervised service (a scan replays conflict feedback into the
+    /// health ledger for every object), under the aging motion model
+    /// (evidence rects outgrow stored rects) and on left-right shards.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::UnknownRegion`] for unknown names.
@@ -2474,7 +2578,20 @@ impl LocationService {
         now: SimTime,
     ) -> Result<Vec<(MobileObjectId, f64)>, CoreError> {
         let rect = self.world_snapshot().region_rect(region)?;
-        let objects = self.tracked_objects(now);
+        let universe = self.engine.universe();
+        let prior_share = rect.intersection_area(&universe) / universe.area();
+        let prune = self.supervisor.is_none()
+            && self.engine.aging_inflation() <= 0.0
+            && min_probability > prior_share * (1.0 + 1e-9);
+        let mut objects = Vec::new();
+        for shard in self.shards.iter() {
+            match shard {
+                Shard::Locked(shard) if prune => {
+                    shard.region_candidates(&rect, universe.area(), &mut objects);
+                }
+                _ => objects.extend(shard.tracked_objects(now)),
+            }
+        }
         let mut out = Vec::new();
         for object in objects {
             let p = self.rect_probability(&object, &rect, now).unwrap_or(0.0);
@@ -3858,5 +3975,149 @@ mod tests {
         assert!(svc
             .locate(&"alice".into(), SimTime::from_secs(2.0))
             .is_err());
+    }
+
+    // --- region queries: the occupancy snapshot's life cycle ---------------
+
+    fn locked_shard<'a>(svc: &'a LocationService, object: &str) -> &'a LockedShard {
+        match svc.shard(&object.into()) {
+            Shard::Locked(shard) => shard,
+            Shard::LeftRight(_) => panic!("default tuning uses locked shards"),
+        }
+    }
+
+    /// `(snapshot tag, reading-table version)` of `object`'s shard.
+    fn occupancy_versions(svc: &LocationService, object: &str) -> (Option<u64>, u64) {
+        let shard = locked_shard(svc, object);
+        let version = shard.read().readings_version;
+        let tag = shard.occupancy.lock().as_ref().map(|o| o.version);
+        (tag, version)
+    }
+
+    fn who_is_in(svc: &LocationService, region: &str, now: f64) -> Vec<MobileObjectId> {
+        svc.objects_in_region(region, 0.5, SimTime::from_secs(now))
+            .unwrap()
+            .into_iter()
+            .map(|(object, _)| object)
+            .collect()
+    }
+
+    #[test]
+    fn occupancy_snapshot_is_rebuilt_after_every_reading_table_write() {
+        let (svc, _broker) = service();
+        let in_room = rect(339.0, 9.0, 341.0, 11.0);
+        let in_corridor = rect(319.0, 9.0, 321.0, 11.0);
+        assert_eq!(occupancy_versions(&svc, "alice"), (None, 0));
+
+        // Ingest: the query builds the snapshot at the table's version.
+        svc.ingest_reading(reading("alice", in_room, 0.0), SimTime::ZERO);
+        assert_eq!(occupancy_versions(&svc, "alice"), (None, 1));
+        assert_eq!(who_is_in(&svc, "CS/Floor3/3105", 1.0), vec!["alice".into()]);
+        assert_eq!(occupancy_versions(&svc, "alice"), (Some(1), 1));
+
+        // A supersede leaves the snapshot stale until the next query.
+        svc.ingest_reading(reading("alice", in_corridor, 2.0), SimTime::from_secs(2.0));
+        assert_eq!(occupancy_versions(&svc, "alice"), (Some(1), 2));
+        assert!(who_is_in(&svc, "CS/Floor3/3105", 3.0).is_empty());
+        assert_eq!(
+            who_is_in(&svc, "CS/Floor3/LabCorridor", 3.0),
+            vec!["alice".into()]
+        );
+        assert_eq!(occupancy_versions(&svc, "alice"), (Some(2), 2));
+
+        // So does a revocation.
+        svc.ingest(
+            AdapterOutput {
+                readings: vec![],
+                revocations: vec![mw_sensors::Revocation {
+                    sensor_id: "Ubi-18".into(),
+                    object: "alice".into(),
+                }],
+            },
+            SimTime::from_secs(4.0),
+        );
+        assert_eq!(occupancy_versions(&svc, "alice"), (Some(2), 3));
+        assert!(who_is_in(&svc, "CS/Floor3/LabCorridor", 4.0).is_empty());
+        assert_eq!(occupancy_versions(&svc, "alice"), (Some(3), 3));
+
+        // And the construction-time seed migration.
+        svc.shard(&"alice".into())
+            .seed_readings(vec![reading("alice", in_room, 5.0)]);
+        assert_eq!(occupancy_versions(&svc, "alice"), (Some(3), 4));
+        assert_eq!(who_is_in(&svc, "CS/Floor3/3105", 5.0), vec!["alice".into()]);
+        assert_eq!(occupancy_versions(&svc, "alice"), (Some(4), 4));
+    }
+
+    #[test]
+    fn seeded_database_readings_are_indexed() {
+        let mut db = sample_db();
+        db.readings_mut()
+            .insert(reading("alice", rect(339.0, 9.0, 341.0, 11.0), 0.0));
+        let broker = Broker::new();
+        let svc = LocationService::new(db, rect(0.0, 0.0, 500.0, 100.0), &broker);
+        assert_eq!(occupancy_versions(&svc, "alice"), (None, 1));
+        assert_eq!(who_is_in(&svc, "CS/Floor3/3105", 1.0), vec!["alice".into()]);
+    }
+
+    #[test]
+    fn cache_miss_fusion_store_does_not_rebuild_the_snapshot() {
+        let (svc, _broker) = service();
+        svc.ingest_reading(
+            reading("alice", rect(339.0, 9.0, 341.0, 11.0), 0.0),
+            SimTime::ZERO,
+        );
+        assert_eq!(who_is_in(&svc, "CS/Floor3/3105", 1.0), vec!["alice".into()]);
+        assert_eq!(occupancy_versions(&svc, "alice"), (Some(1), 1));
+        // A new query time misses the fusion cache, and storing the fresh
+        // result takes the shard's write lock — which must not count as
+        // a reading-table write.
+        let epoch = svc.object_epoch(&"alice".into());
+        svc.locate(&"alice".into(), SimTime::from_secs(2.0))
+            .unwrap();
+        assert!(locked_shard(&svc, "alice")
+            .read()
+            .store
+            .cached(&"alice".into(), SimTime::from_secs(2.0), 0)
+            .is_some());
+        assert_eq!(svc.object_epoch(&"alice".into()), epoch);
+        assert_eq!(occupancy_versions(&svc, "alice"), (Some(1), 1));
+        assert_eq!(who_is_in(&svc, "CS/Floor3/3105", 2.0), vec!["alice".into()]);
+        assert_eq!(occupancy_versions(&svc, "alice"), (Some(1), 1));
+    }
+
+    #[test]
+    fn unbounded_readings_land_on_the_always_list() {
+        let area = 500.0 * 100.0;
+        let far_away = rect(10.0, 60.0, 20.0, 70.0);
+        let candidates = |svc: &LocationService, object: &str| {
+            let mut out = Vec::new();
+            locked_shard(svc, object).region_candidates(&far_away, area, &mut out);
+            out
+        };
+        let in_room = rect(339.0, 9.0, 341.0, 11.0);
+
+        // A plain reading elsewhere is not a candidate …
+        let (svc, _broker) = service();
+        svc.ingest_reading(reading("alice", in_room, 0.0), SimTime::ZERO);
+        assert!(candidates(&svc, "alice").is_empty());
+
+        // … one spanning more cells than the grid enumerates is, …
+        let mut huge = reading("alice", rect(-3000.0, -3000.0, 4000.0, 4000.0), 0.0);
+        huge.sensor_id = "RF-1".into();
+        svc.ingest_reading(huge, SimTime::ZERO);
+        assert_eq!(candidates(&svc, "alice"), vec!["alice".into()]);
+
+        // … and so is a decaying one, and one with `h < q`.
+        let (svc, _broker) = service();
+        let mut decaying = reading("bob", in_room, 0.0);
+        decaying.tdf = TemporalDegradation::Linear {
+            lifetime: SimDuration::from_secs(30.0),
+        };
+        svc.ingest_reading(decaying, SimTime::ZERO);
+        assert_eq!(candidates(&svc, "bob"), vec!["bob".into()]);
+        let mut rarely_carried = reading("carol", in_room, 0.0);
+        rarely_carried.spec = SensorSpec::ubisense(0.1);
+        svc.ingest_reading(rarely_carried, SimTime::ZERO);
+        assert_eq!(candidates(&svc, "carol"), vec!["carol".into()]);
     }
 }

@@ -319,6 +319,14 @@ impl FusionEngine {
         self.universe
     }
 
+    /// The motion-model inflation speed in ft/s (`0.0` = disabled, the
+    /// paper's model). While it is positive, evidence rects outgrow the
+    /// stored reading rects, so nothing may be inferred from the latter.
+    #[must_use]
+    pub fn aging_inflation(&self) -> f64 {
+        self.aging_inflation_ft_per_s
+    }
+
     /// Applies the aging motion model to one reading's region.
     fn aged_region(&self, reading: &SensorReading, now: SimTime) -> Rect {
         if self.aging_inflation_ft_per_s <= 0.0 {
@@ -696,6 +704,8 @@ mod tests {
         r0.tdf = TemporalDegradation::None;
         let plain = FusionEngine::new(r(0.0, 0.0, 500.0, 100.0));
         let moving = FusionEngine::new(r(0.0, 0.0, 500.0, 100.0)).with_aging_inflation(4.0);
+        assert_eq!(plain.aging_inflation(), 0.0);
+        assert_eq!(moving.aging_inflation(), 4.0);
         let now = SimTime::from_secs(10.0);
         let est_plain = plain
             .fuse(std::slice::from_ref(&r0), now)

@@ -119,6 +119,17 @@ impl SensorReadingTable {
             .filter(move |r| !r.is_expired(now))
     }
 
+    /// Every stored row grouped by object, expired-but-unpruned rows
+    /// included, in unspecified object order — the read-only view a
+    /// derived index is built from.
+    pub fn stored_by_object(
+        &self,
+    ) -> impl Iterator<Item = (&MobileObjectId, impl Iterator<Item = &SensorReading>)> {
+        self.rows
+            .iter()
+            .map(|(object, per_object)| (object, per_object.iter().map(|r| &**r)))
+    }
+
     /// The distinct objects with at least one live reading at `now`.
     #[must_use]
     pub fn tracked_objects(&self, now: SimTime) -> Vec<MobileObjectId> {
@@ -265,6 +276,21 @@ mod tests {
         t.insert(reading("RF-12", "bob", 0.0, 100.0));
         let objs = t.tracked_objects(SimTime::from_secs(1.0));
         assert_eq!(objs.len(), 2);
+    }
+
+    #[test]
+    fn stored_by_object_includes_expired_rows() {
+        let mut t = SensorReadingTable::new();
+        t.insert(reading("Ubi-18", "alice", 0.0, 3.0));
+        t.insert(reading("RF-12", "alice", 0.0, 60.0));
+        t.insert(reading("RF-12", "bob", 0.0, 60.0));
+        let mut seen: Vec<(String, usize)> = t
+            .stored_by_object()
+            .map(|(object, rows)| (object.to_string(), rows.count()))
+            .collect();
+        seen.sort();
+        assert_eq!(seen, vec![("alice".to_string(), 2), ("bob".to_string(), 1)]);
+        assert!(t.tracked_objects(SimTime::from_secs(100.0)).is_empty());
     }
 
     #[test]
