@@ -32,14 +32,16 @@
 //! - `RuleEngine` (crate-internal) — the compiler and evaluator: interns
 //!   structurally-equal subexpressions into shared DAG nodes, groups
 //!   rules with identical `(root, object filter, trigger)` into one
-//!   trigger group, and prunes candidate groups through a coarse
-//!   [`InterestGrid`] (shared with the region-query snapshot) over
-//!   their regions of interest.
+//!   trigger group, and prunes candidate groups: wildcard groups through
+//!   a coarse [`InterestGrid`] (shared with the region-query snapshot)
+//!   over their regions of interest, groups with an object filter
+//!   through that object's own list.
 //!
 //! # Evaluation order and edge state
 //!
-//! Per fuse of an object, candidate groups are selected (interest-grid
-//! hits + currently-true groups + always-evaluate groups), then each
+//! Per fuse of an object, candidate groups are selected (wildcard
+//! interest-grid hits + wildcard always-evaluate groups + the object's
+//! own groups + currently-true groups), then each
 //! reachable DAG node is evaluated **at most once** (memoized per fuse)
 //! bottom-up, with no boolean short-circuiting — `And`/`Or` always
 //! evaluate every child so stateful atoms (`Moved`, `DwellFor`) advance
@@ -641,8 +643,9 @@ struct Group {
     /// Member rule ids, ascending (ids are assigned monotonically and
     /// late joiners land in fresh groups, so pushes keep the order).
     members: Vec<SubscriptionId>,
-    /// Interest-grid rects this group was indexed under (positive
-    /// region atoms). Empty for always-evaluate groups.
+    /// Interest rects (positive region atoms) of a pure group: the grid
+    /// keys of a wildcard group, the exact selection test of both kinds.
+    /// Empty for always-evaluate groups.
     interest: Vec<Rect>,
     /// Evaluated for every affected object (predicates containing
     /// `Not` / `CoLocated` / `Moved` / `DwellFor`, whose truth can
@@ -678,9 +681,15 @@ pub(crate) struct RuleEngine {
     intern: HashMap<NodeKind, usize>,
     groups: Vec<Option<Group>>,
     group_index: HashMap<GroupKey, usize>,
+    /// Wildcard (no object filter) pure groups, by interest rect.
     index: InterestGrid<usize>,
-    /// Always-evaluate group indices, ascending.
+    /// Wildcard always-evaluate group indices, ascending.
     always: Vec<usize>,
+    /// Per object handle: the groups filtered to that object, ascending.
+    /// Bound groups are selected from here rather than from `index` /
+    /// `always`, so a fuse never touches another object's rules. An
+    /// entry is dropped once its last group is freed.
+    bound: FastMap<u32, Vec<usize>>,
     /// Per object handle: groups whose root held on the last evaluation
     /// (candidates even when the evidence window moves away — exit
     /// edges and re-arming need them).
@@ -929,6 +938,7 @@ impl RuleEngine {
             group_index: HashMap::new(),
             index: InterestGrid::default(),
             always: Vec::new(),
+            bound: FastMap::default(),
             truthy: FastMap::default(),
             node_state: FastMap::default(),
             touched: FastSet::default(),
@@ -971,12 +981,15 @@ impl RuleEngine {
         }
         let (interest, pure) = self.interest_of(root);
         let g = self.groups.len();
-        if pure {
+        // `g` grows monotonically, so pushes keep `always` and the
+        // per-object lists sorted.
+        if let Some(o) = object {
+            self.bound.entry(o).or_default().push(g);
+        } else if pure {
             for rect in &interest {
                 self.index.insert(rect, g);
             }
         } else {
-            // `g` grows monotonically, so pushes keep `always` sorted.
             self.always.push(g);
         }
         self.group_index.insert(key.clone(), g);
@@ -1011,11 +1024,19 @@ impl RuleEngine {
         // are interned and may be referenced by other rules, current or
         // future).
         let group = self.groups[record.group].take().expect("checked above");
-        for rect in &group.interest {
-            self.index.remove(rect, record.group);
-        }
-        if group.always {
+        if let Some(o) = group.object {
+            if let Some(own) = self.bound.get_mut(&o) {
+                own.retain(|g| *g != record.group);
+                if own.is_empty() {
+                    self.bound.remove(&o);
+                }
+            }
+        } else if group.always {
             self.always.retain(|g| *g != record.group);
+        } else {
+            for rect in &group.interest {
+                self.index.remove(rect, record.group);
+            }
         }
         if self.group_index.get(&group.key) == Some(&record.group) {
             self.group_index.remove(&group.key);
@@ -1224,11 +1245,11 @@ impl RuleEngine {
 
     // --- evaluation (read-only half) -------------------------------------
 
-    /// Candidate trigger groups for one fuse of `object`: interest-grid
-    /// hits for each evidence rectangle (re-checked against the exact
-    /// interest rects), plus groups currently true for the object (exit
-    /// edges / re-arming), plus always-evaluate groups — filtered by
-    /// each group's object filter. Sorted ascending, deduped.
+    /// Candidate trigger groups for one fuse of `object`: every live
+    /// group whose object filter is absent or `object`, and which is
+    /// always-evaluate, has an interest rect intersecting an evidence
+    /// window, or is currently true for the object (exit edges /
+    /// re-arming). Sorted ascending, deduped.
     #[cfg(test)]
     pub(crate) fn candidate_groups(&self, object: &MobileObjectId, windows: &[Rect]) -> Vec<usize> {
         let mut out = Vec::new();
@@ -1238,7 +1259,18 @@ impl RuleEngine {
 
     /// [`candidate_groups`](RuleEngine::candidate_groups) into a
     /// caller-owned buffer, so the per-shard ingest loop reuses one
-    /// allocation across fuses. The buffer is cleared first.
+    /// allocation across fuses. The buffer is cleared first. Returns
+    /// the entries scanned to build it (the `rules.candidates.scanned`
+    /// metric): grid hits, wildcard always-evaluate groups, the
+    /// object's own groups and its currently-true groups.
+    ///
+    /// Wildcard groups come from the interest grid (re-checked against
+    /// the exact rects) and the wildcard `always` list; groups bound to
+    /// `object` come from its own list under the same exact test, so
+    /// the work follows this object's rules, not everyone's. Every
+    /// `truthy[obj]` entry is live and admits `object` — it was written
+    /// by an `apply` of this object's candidates and is cleared when
+    /// its group is freed — so no filter runs after the merge.
     ///
     /// `windows` is the object's surviving evidence, one rect per
     /// reading — not their union MBR. Selecting per rect matters for
@@ -1251,36 +1283,39 @@ impl RuleEngine {
         object: &MobileObjectId,
         windows: &[Rect],
         out: &mut Vec<usize>,
-    ) {
+    ) -> usize {
         let obj = self.idents.intern(object.as_str());
+        // The grid is coarse (cell overlap, not rect overlap); this is
+        // the exact test, so selection is bit-identical to an exact
+        // `intersects` walk over the evidence.
+        let touches = |group: &Group| {
+            group
+                .interest
+                .iter()
+                .any(|r| windows.iter().any(|w| r.intersects(w)))
+        };
         out.clear();
         for w in windows {
             self.index.query_window(w, out);
         }
-        if !windows.is_empty() {
-            // The grid is coarse (cell overlap, not rect overlap);
-            // re-check the exact rects so selection is bit-identical to
-            // an exact `intersects` walk over the evidence.
-            out.retain(|&g| {
-                self.groups[g].as_ref().is_some_and(|group| {
-                    group
-                        .interest
-                        .iter()
-                        .any(|r| windows.iter().any(|w| r.intersects(w)))
-                })
-            });
+        let mut scanned = out.len() + self.always.len();
+        out.retain(|&g| self.groups[g].as_ref().is_some_and(touches));
+        out.extend_from_slice(&self.always);
+        if let Some(own) = self.bound.get(&obj) {
+            scanned += own.len();
+            out.extend(own.iter().copied().filter(|&g| {
+                self.groups[g]
+                    .as_ref()
+                    .is_some_and(|group| group.always || touches(group))
+            }));
         }
-        out.extend(self.always.iter().copied());
         if let Some(truthy) = self.truthy.get(&obj) {
-            out.extend(truthy.iter().copied());
+            scanned += truthy.len();
+            out.extend_from_slice(truthy);
         }
         out.sort_unstable();
         out.dedup();
-        out.retain(|&g| {
-            self.groups[g]
-                .as_ref()
-                .is_some_and(|group| group.object.is_none_or(|o| o == obj))
-        });
+        scanned
     }
 
     /// The differential evaluation signature for one fuse of one object:
@@ -2182,6 +2217,285 @@ mod tests {
         engine.add(&Rule::when(in_region(0)).build().unwrap());
         let alice = engine.candidate_groups(&"alice".into(), &[region(0)]);
         assert_eq!(alice.len(), 2, "alice's filter plus the any-object group");
+    }
+
+    #[test]
+    fn freed_bound_group_leaves_no_trace_and_rejoiner_rises_again() {
+        let mut engine = engine(true);
+        let rule = || Rule::when(in_region(0)).object("alice").build().unwrap();
+        let a = engine.add(&rule());
+        let b = engine.add(&rule());
+        let alice = engine.idents.intern("alice");
+        assert_eq!(engine.bound[&alice], vec![0]);
+        // Alice enters: group 0 rises and is now true for her.
+        assert_eq!(
+            engine.candidate_groups(&"alice".into(), &[region(0)]),
+            vec![0]
+        );
+        assert!(fires(&mut engine, "alice", true, None));
+
+        assert!(engine.remove(a));
+        assert_eq!(engine.bound[&alice], vec![0], "b still holds the group");
+        assert!(engine.remove(b));
+        assert!(engine.bound.is_empty(), "the emptied entry is dropped");
+        assert!(engine.truthy[&alice].is_empty());
+        assert!(engine
+            .candidate_groups(&"alice".into(), &[region(0)])
+            .is_empty());
+
+        // Re-subscribing the same key lands in a fresh group that sees
+        // its own rising edge, although alice never left.
+        let c = engine.add(&rule());
+        let g = engine.rules[&c].group;
+        assert_eq!(engine.bound[&alice], vec![g]);
+        assert_eq!(
+            engine.candidate_groups(&"alice".into(), &[region(0)]),
+            vec![g]
+        );
+        let fired = engine.apply(&"alice".into(), verdict(&engine, g, true, None));
+        assert_eq!(fired.iter().map(|f| f.id).collect::<Vec<_>>(), vec![c]);
+    }
+
+    // --- candidate selection against a brute-force oracle ------------------
+
+    impl RuleEngine {
+        /// What [`RuleEngine::candidate_groups_into`] must return, by
+        /// brute force over every group slot: each live group whose
+        /// object filter admits `object` and that is always-evaluate,
+        /// has an interest rect intersecting a window, or is currently
+        /// true for the object. Ascending.
+        fn candidate_groups_oracle(&self, object: &MobileObjectId, windows: &[Rect]) -> Vec<usize> {
+            let obj = self.idents.intern(object.as_str());
+            let truthy = self.truthy.get(&obj);
+            (0..self.groups.len())
+                .filter(|&g| {
+                    self.groups[g].as_ref().is_some_and(|group| {
+                        group.object.is_none_or(|o| o == obj)
+                            && (group.always
+                                || group
+                                    .interest
+                                    .iter()
+                                    .any(|r| windows.iter().any(|w| r.intersects(w)))
+                                || truthy.is_some_and(|t| t.contains(&g)))
+                    })
+                })
+                .collect()
+        }
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        /// Eight people carry bound rules; `zed` never does.
+        const PEOPLE: &[&str] = &["p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "zed"];
+
+        /// Rects on a 10-unit lattice over three 50-unit grid cells each
+        /// way, so rects and windows often share a cell without touching
+        /// (the exact re-check decides) and look-alike rules share keys;
+        /// one in ten spans more than the grid's 4 096-cell cap.
+        fn rect() -> impl Strategy<Value = Rect> {
+            (0..15u32, 0..15u32, 0..6u32, 0..6u32, 0..10u32).prop_map(|(x, y, w, h, big)| {
+                let (x, y) = (f64::from(x) * 10.0, f64::from(y) * 10.0);
+                let (w, h) = if big == 0 {
+                    (5_000.0, 5_000.0)
+                } else {
+                    (f64::from(w) * 10.0, f64::from(h) * 10.0)
+                };
+                Rect::new(Point::new(x, y), Point::new(x + w, y + h))
+            })
+        }
+
+        /// Evidence windows: none, a point, a tiny box, ordinary rects,
+        /// or one spanning more cells than the grid enumerates.
+        fn windows() -> impl Strategy<Value = Vec<Rect>> {
+            (0..5usize, rect(), rect(), 0.0..150.0f64, 0.0..150.0f64).prop_map(
+                |(kind, a, b, x, y)| match kind {
+                    0 => Vec::new(),
+                    1 => vec![Rect::from_point(Point::new(x, y))],
+                    2 => vec![Rect::from_center(Point::new(x, y), 0.5, 0.5)],
+                    3 => vec![a, b],
+                    _ => vec![Rect::new(
+                        Point::new(-10.0, -10.0),
+                        Point::new(9_000.0, 9_000.0),
+                    )],
+                },
+            )
+        }
+
+        /// Pure atoms (grid- or list-indexed) and impure ones
+        /// (always-evaluate), under the wrappers that make a group
+        /// impure.
+        fn predicate() -> impl Strategy<Value = Predicate> {
+            (0..7usize, rect(), rect(), 0..3usize).prop_map(|(shape, a, b, k)| {
+                let center = b.center();
+                let (a, b) = (Predicate::in_region(a, 0.5), Predicate::in_region(b, 0.4));
+                match shape {
+                    0 | 1 => a,
+                    2 => Predicate::near_point(center, 5.0 + k as f64 * 20.0, 0.5),
+                    3 => a.and(b),
+                    4 => a.or(Predicate::moved(3.0)),
+                    5 => a.not(),
+                    _ => a.for_at_least(SimDuration::from_secs(2.0 + k as f64)),
+                }
+            })
+        }
+
+        /// At least half bound (to the eight people), the rest wildcard.
+        fn rule() -> impl Strategy<Value = Rule> {
+            (predicate(), 0..12usize, 0..3usize).prop_map(|(p, who, trigger)| {
+                let builder = Rule::when(p);
+                let builder = if who < 8 {
+                    builder.object(PEOPLE[who])
+                } else {
+                    builder
+                };
+                match trigger {
+                    0 => builder.on_enter(),
+                    1 => builder.on_exit(),
+                    _ => builder.on_move(4.0),
+                }
+                .build()
+                .expect("strategy builds valid rules")
+            })
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Add(Rule),
+            /// Unsubscribe the `k`-th live rule.
+            Remove(usize),
+            /// Unsubscribe the `k`-th live rule and subscribe it again —
+            /// frees a single-member group and re-adds its key.
+            Readd(usize),
+            /// Select for a person, then apply the verdicts `truths`
+            /// (bit `i` for candidate `i`): drives `truthy`.
+            Sight(usize, Vec<Rect>, u64),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            (
+                0..10usize,
+                rule(),
+                0..1024usize,
+                0..PEOPLE.len(),
+                windows(),
+                0..u64::MAX,
+            )
+                .prop_map(|(kind, rule, k, who, windows, truths)| match kind {
+                    0..=3 => Op::Add(rule),
+                    4 => Op::Remove(k),
+                    5 => Op::Readd(k),
+                    _ => Op::Sight(who, windows, truths),
+                })
+        }
+
+        /// Fixed probes run after every op, besides the op's own windows.
+        fn probes() -> Vec<Vec<Rect>> {
+            vec![
+                Vec::new(),
+                vec![Rect::from_point(Point::new(50.0, 50.0))],
+                vec![Rect::new(Point::new(12.0, 3.0), Point::new(14.0, 5.0))],
+                vec![
+                    Rect::new(Point::new(0.0, 0.0), Point::new(40.0, 40.0)),
+                    Rect::new(Point::new(100.0, 60.0), Point::new(140.0, 140.0)),
+                ],
+                vec![Rect::new(
+                    Point::new(-10.0, -10.0),
+                    Point::new(9_000.0, 9_000.0),
+                )],
+            ]
+        }
+
+        fn check(engine: &RuleEngine, windows: &[Vec<Rect>]) -> Result<(), TestCaseError> {
+            for who in PEOPLE {
+                let object: MobileObjectId = (*who).into();
+                for w in windows {
+                    prop_assert_eq!(
+                        engine.candidate_groups(&object, w),
+                        engine.candidate_groups_oracle(&object, w),
+                        "object {} windows {:?}",
+                        who,
+                        w
+                    );
+                }
+            }
+            // The indexes hold exactly the live groups of their kind:
+            // emptied per-object entries are dropped, lists ascend.
+            let mut bound: FastMap<u32, Vec<usize>> = FastMap::default();
+            let mut always = Vec::new();
+            for (g, group) in engine.groups.iter().enumerate() {
+                match group.as_ref().map(|group| (group.object, group.always)) {
+                    Some((Some(o), _)) => bound.entry(o).or_default().push(g),
+                    Some((None, true)) => always.push(g),
+                    _ => {}
+                }
+            }
+            prop_assert_eq!(&engine.bound, &bound);
+            prop_assert_eq!(&engine.always, &always);
+            Ok(())
+        }
+
+        fn apply_verdicts(engine: &mut RuleEngine, who: usize, windows: &[Rect], truths: u64) {
+            let object: MobileObjectId = PEOPLE[who].into();
+            let candidates = engine.candidate_groups(&object, windows);
+            let evals = candidates
+                .iter()
+                .enumerate()
+                .map(|(i, &group)| GroupEval {
+                    group,
+                    satisfied: truths >> (i % 64) & 1 == 1,
+                    probability: 0.5,
+                    band: ProbabilityBand::Low,
+                    region: region(0),
+                    position: None,
+                })
+                .collect();
+            let evaluation = ObjectEvaluation {
+                evals,
+                ..ObjectEvaluation::empty()
+            };
+            engine.apply(&object, evaluation);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// `candidate_groups_into` equals the brute-force definition
+            /// after every registration, removal, re-registration and
+            /// edge-state change, for bound, wildcard and unknown
+            /// objects, on shared and naive engines.
+            #[test]
+            fn candidate_selection_matches_brute_force_oracle(
+                shared in proptest::bool::ANY,
+                ops in proptest::collection::vec(op(), 1..60),
+            ) {
+                let mut engine = RuleEngine::new(shared, Arc::new(Interner::new()));
+                let mut live: Vec<(SubscriptionId, Rule)> = Vec::new();
+                for op in ops {
+                    let mut windows = probes();
+                    match op {
+                        Op::Add(rule) => live.push((engine.add(&rule), rule)),
+                        Op::Remove(k) if !live.is_empty() => {
+                            let (id, _) = live.remove(k % live.len());
+                            prop_assert!(engine.remove(id));
+                        }
+                        Op::Readd(k) if !live.is_empty() => {
+                            let (id, rule) = live.remove(k % live.len());
+                            prop_assert!(engine.remove(id));
+                            live.push((engine.add(&rule), rule));
+                        }
+                        Op::Sight(who, w, truths) => {
+                            apply_verdicts(&mut engine, who, &w, truths);
+                            windows.push(w);
+                        }
+                        Op::Remove(_) | Op::Readd(_) => {}
+                    }
+                    check(&engine, &windows)?;
+                }
+            }
+        }
     }
 
     // --- differential caches stay bounded by edge state --------------------

@@ -1267,6 +1267,7 @@ struct CoreMetrics {
     rules_eval_skipped: mw_obs::Counter,
     rules_eval_latency: mw_obs::Histogram,
     rules_candidates: mw_obs::Counter,
+    rules_scanned: mw_obs::Counter,
     rules_selections: mw_obs::Counter,
     objects_tracked: mw_obs::Gauge,
     mem_bytes_per_object: mw_obs::Gauge,
@@ -1296,6 +1297,7 @@ impl CoreMetrics {
             rules_eval_skipped: registry.counter("rules.eval.skipped"),
             rules_eval_latency: registry.histogram("rules.eval.latency_us"),
             rules_candidates: registry.counter("rules.candidates.examined"),
+            rules_scanned: registry.counter("rules.candidates.scanned"),
             rules_selections: registry.counter("rules.candidates.selections"),
             objects_tracked: registry.gauge("core.objects.tracked"),
             mem_bytes_per_object: registry.gauge("core.mem.bytes_per_object"),
@@ -2752,7 +2754,8 @@ impl LocationService {
         // evidence rect — NOT their union MBR, which would sweep every
         // watched region between a fast mover's old and new readings)
         // plus currently-true ones that may need re-arming, plus
-        // always-evaluate groups. This keeps the per-update cost nearly
+        // always-evaluate groups; groups bound to one object come from
+        // that object's own list. This keeps the per-update cost nearly
         // independent of the number of programmed triggers (the paper's
         // Figure 9 claim) — and, with sharing, independent of
         // look-alike rule count too.
@@ -2772,12 +2775,13 @@ impl LocationService {
                 let mut windows = windows_cell.borrow_mut();
                 windows.clear();
                 windows.extend(result.result().evidence_regions());
-                rules.candidate_groups_into(object, &windows, &mut candidates);
+                let scanned = rules.candidate_groups_into(object, &windows, &mut candidates);
+                if let Some(metrics) = &self.metrics {
+                    metrics.rules_selections.inc();
+                    metrics.rules_scanned.add(scanned as u64);
+                    metrics.rules_candidates.add(candidates.len() as u64);
+                }
             });
-            if let Some(metrics) = &self.metrics {
-                metrics.rules_selections.inc();
-                metrics.rules_candidates.add(candidates.len() as u64);
-            }
             if candidates.is_empty() {
                 return ObjectEvaluation::empty();
             }
@@ -3407,6 +3411,54 @@ mod tests {
             registry.snapshot().gauge("core.subscriptions.active"),
             Some(0.0)
         );
+    }
+
+    /// Candidate selection follows the fused person's own rules, not
+    /// the rule base: with 25 bound groups for each of 40 people on the
+    /// same rooms, a selection for `p0` scans exactly the entries it
+    /// scans when only `p0`'s 25 exist. Counts, not timings.
+    #[test]
+    fn selection_scans_only_the_fused_objects_rules() {
+        let selection_counts = |people: usize| {
+            let broker = Broker::new();
+            let registry = MetricsRegistry::new();
+            let svc = LocationService::new_with_obs(
+                sample_db(),
+                rect(0.0, 0.0, 500.0, 100.0),
+                &broker,
+                &registry,
+            );
+            for p in 0..people {
+                for k in 0..25u32 {
+                    let x = f64::from(k % 12) * 40.0;
+                    let here = crate::Predicate::in_region(rect(x, 0.0, x + 40.0, 100.0), 0.5);
+                    let predicate = match k % 5 {
+                        3 => here.for_at_least(SimDuration::from_secs(5.0)),
+                        4 => here.not(),
+                        _ => here,
+                    };
+                    let rule = Rule::when(predicate).object(format!("p{p}").as_str());
+                    let _ = svc.subscribe_rule(rule.build().unwrap());
+                }
+            }
+            for (t, x) in [(0.0, 100.0), (1.0, 140.0), (2.0, 141.0)] {
+                let window = rect(x, 40.0, x + 2.0, 42.0);
+                svc.ingest_reading(reading("p0", window, t), SimTime::from_secs(t));
+            }
+            let snap = registry.snapshot();
+            let count = |name: &str| snap.counter(name).unwrap_or(0);
+            (
+                count("rules.candidates.selections"),
+                count("rules.candidates.scanned"),
+                count("rules.candidates.examined"),
+            )
+        };
+        let alone = selection_counts(1);
+        assert!(
+            alone.0 > 0 && alone.1 >= alone.2 && alone.2 > 0,
+            "{alone:?}"
+        );
+        assert_eq!(selection_counts(40), alone);
     }
 
     #[test]

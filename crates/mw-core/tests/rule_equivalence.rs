@@ -30,7 +30,11 @@ use mw_spatial_db::{Geometry, ObjectType, SpatialDatabase, SpatialObject};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-const OBJECTS: &[&str] = &["alice", "bob", "carol"];
+/// Eight people, so bound rules — the rule generator gives eight in
+/// nine an object filter — spread over many per-object candidate lists.
+const OBJECTS: &[&str] = &[
+    "alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi",
+];
 const SENSORS: &[&str] = &["Ubi-1", "Ubi-2", "RF-1"];
 
 fn universe() -> Rect {

@@ -29,7 +29,7 @@
 //! `health.sensor.<id>.state` (0 = healthy, 1 = degraded,
 //! 2 = quarantined).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use mw_geometry::{Point, Rect};
@@ -317,6 +317,16 @@ pub struct SensorSupervisor {
     sensors: HashMap<SensorId, SensorRecord>,
     rng: StdRng,
     metrics: Option<HealthMetrics>,
+    transitions: Transitions,
+}
+
+/// What every state transition updates besides the record itself.
+#[derive(Debug, Default)]
+struct Transitions {
+    /// The quarantined sensors, so [`SensorSupervisor::excluded`] costs
+    /// O(quarantined) instead of a scan of every sensor.
+    quarantined: HashSet<SensorId>,
+    /// The transition log, when enabled.
     log: Option<Vec<TransitionEvent>>,
 }
 
@@ -330,7 +340,7 @@ impl SensorSupervisor {
             sensors: HashMap::new(),
             rng,
             metrics: None,
-            log: None,
+            transitions: Transitions::default(),
         }
     }
 
@@ -362,7 +372,7 @@ impl SensorSupervisor {
     /// Starts recording every state transition (unbounded; intended for
     /// tests verifying the state machine).
     pub fn enable_transition_log(&mut self) {
-        self.log = Some(Vec::new());
+        self.transitions.log = Some(Vec::new());
     }
 
     /// The recorded transitions, oldest first (empty unless
@@ -370,7 +380,7 @@ impl SensorSupervisor {
     /// was called).
     #[must_use]
     pub fn transition_log(&self) -> &[TransitionEvent] {
-        self.log.as_deref().unwrap_or(&[])
+        self.transitions.log.as_deref().unwrap_or(&[])
     }
 
     /// The supervision policy.
@@ -447,7 +457,7 @@ impl SensorSupervisor {
                     HealthState::Healthy,
                     now,
                     self.metrics.as_ref(),
-                    &mut self.log,
+                    &mut self.transitions,
                 );
                 record.backoff = self.config.initial_quarantine;
                 if let Some(m) = &self.metrics {
@@ -474,7 +484,7 @@ impl SensorSupervisor {
                 &self.config,
                 &mut self.rng,
                 self.metrics.as_ref(),
-                &mut self.log,
+                &mut self.transitions,
             );
         }
         match violation {
@@ -487,7 +497,7 @@ impl SensorSupervisor {
                     &self.config,
                     &mut self.rng,
                     self.metrics.as_ref(),
-                    &mut self.log,
+                    &mut self.transitions,
                 );
                 if let Some(m) = &self.metrics {
                     m.readings_rejected.inc();
@@ -507,7 +517,7 @@ impl SensorSupervisor {
                     now,
                     &self.config,
                     self.metrics.as_ref(),
-                    &mut self.log,
+                    &mut self.transitions,
                 );
                 if let Some(m) = &self.metrics {
                     m.readings_accepted.inc();
@@ -565,9 +575,7 @@ impl SensorSupervisor {
     /// strike per missed window, walking it down the
     /// Healthy → Degraded → Quarantined ladder.
     pub fn tick(&mut self, now: SimTime) {
-        let ids: Vec<SensorId> = self.sensors.keys().cloned().collect();
-        for sensor in ids {
-            let record = self.sensors.get_mut(&sensor).expect("listed");
+        for (sensor, record) in &mut self.sensors {
             loop {
                 if record.state == HealthState::Quarantined {
                     break;
@@ -583,13 +591,13 @@ impl SensorSupervisor {
                 record.stale_deadline = Some(deadline + window);
                 strike(
                     record,
-                    &sensor,
+                    sensor,
                     Violation::Stale,
                     now,
                     &self.config,
                     &mut self.rng,
                     self.metrics.as_ref(),
-                    &mut self.log,
+                    &mut self.transitions,
                 );
             }
         }
@@ -615,7 +623,7 @@ impl SensorSupervisor {
                 &self.config,
                 &mut self.rng,
                 self.metrics.as_ref(),
-                &mut self.log,
+                &mut self.transitions,
             );
         }
     }
@@ -662,23 +670,18 @@ impl SensorSupervisor {
     }
 
     /// The set of quarantined sensors — the fusion engine's exclusion
-    /// set.
+    /// set. O(quarantined); allocates nothing when none is.
     #[must_use]
-    pub fn excluded(&self) -> std::collections::HashSet<SensorId> {
-        self.sensors
-            .iter()
-            .filter(|(_, r)| r.state == HealthState::Quarantined)
-            .map(|(id, _)| id.clone())
-            .collect()
+    pub fn excluded(&self) -> HashSet<SensorId> {
+        // Not `clone()`: a set that has held entries keeps its capacity,
+        // and cloning it would allocate on every fuse.
+        self.transitions.quarantined.iter().cloned().collect()
     }
 
     /// Number of quarantined sensors.
     #[must_use]
     pub fn quarantined_count(&self) -> usize {
-        self.sensors
-            .values()
-            .filter(|r| r.state == HealthState::Quarantined)
-            .count()
+        self.transitions.quarantined.len()
     }
 
     /// Every supervised sensor and its state, in arbitrary order.
@@ -696,7 +699,7 @@ fn set_state(
     to: HealthState,
     now: SimTime,
     metrics: Option<&HealthMetrics>,
-    log: &mut Option<Vec<TransitionEvent>>,
+    transitions: &mut Transitions,
 ) {
     use HealthState::{Degraded, Healthy, Quarantined};
     let from = record.state;
@@ -719,7 +722,12 @@ fn set_state(
         gauge.set(to.as_gauge());
         record.gauge = Some(gauge);
     }
-    if let Some(log) = log {
+    if to == Quarantined {
+        transitions.quarantined.insert(sensor.clone());
+    } else if from == Quarantined {
+        transitions.quarantined.remove(sensor);
+    }
+    if let Some(log) = &mut transitions.log {
         log.push(TransitionEvent {
             sensor: sensor.clone(),
             from,
@@ -768,7 +776,7 @@ fn strike(
     config: &HealthConfig,
     rng: &mut StdRng,
     metrics: Option<&HealthMetrics>,
-    log: &mut Option<Vec<TransitionEvent>>,
+    transitions: &mut Transitions,
 ) {
     if let Some(m) = metrics {
         m.count_violation(violation);
@@ -777,10 +785,24 @@ fn strike(
     record.strikes += 1;
     match record.state {
         HealthState::Healthy if record.strikes >= config.degrade_after => {
-            set_state(record, sensor, HealthState::Degraded, now, metrics, log);
+            set_state(
+                record,
+                sensor,
+                HealthState::Degraded,
+                now,
+                metrics,
+                transitions,
+            );
         }
         HealthState::Degraded if record.strikes >= config.quarantine_after => {
-            set_state(record, sensor, HealthState::Quarantined, now, metrics, log);
+            set_state(
+                record,
+                sensor,
+                HealthState::Quarantined,
+                now,
+                metrics,
+                transitions,
+            );
             if let Some(m) = metrics {
                 m.quarantines.inc();
             }
@@ -797,11 +819,18 @@ fn clean_reading(
     now: SimTime,
     config: &HealthConfig,
     metrics: Option<&HealthMetrics>,
-    log: &mut Option<Vec<TransitionEvent>>,
+    transitions: &mut Transitions,
 ) {
     record.clean_streak += 1;
     if record.state == HealthState::Degraded && record.clean_streak >= config.recover_after {
-        set_state(record, sensor, HealthState::Healthy, now, metrics, log);
+        set_state(
+            record,
+            sensor,
+            HealthState::Healthy,
+            now,
+            metrics,
+            transitions,
+        );
         if let Some(m) = metrics {
             m.recoveries.inc();
         }
@@ -1078,11 +1107,26 @@ mod tests {
         let excluded = sup.excluded();
         assert!(excluded.contains(&"ubi-8".into()));
         assert!(sup.is_quarantined(&"ubi-8".into()));
-        assert_eq!(
+        let scan = |sup: &SensorSupervisor| -> HashSet<SensorId> {
             sup.states()
                 .filter(|(_, s)| *s == HealthState::Quarantined)
-                .count(),
-            1
-        );
+                .map(|(id, _)| id.clone())
+                .collect()
+        };
+        assert_eq!(excluded, scan(&sup));
+
+        // The watchdog quarantines a second sensor; the set follows.
+        let mut r = reading("ubi-9", Point::new(100.0, 50.0), t);
+        assert!(sup.admit(&mut r, SimTime::from_secs(t)).is_admitted());
+        sup.tick(SimTime::from_secs(t + 16.0));
+        assert_eq!(sup.quarantined_count(), 2);
+        assert_eq!(sup.excluded(), scan(&sup));
+
+        // A clean probe takes the first one out of the set again.
+        let probe_t = sup.next_probe_at(&"ubi-8".into()).unwrap().as_secs() + 0.1;
+        let mut r = reading("ubi-8", Point::new(100.0, 50.0), probe_t);
+        assert!(sup.admit(&mut r, SimTime::from_secs(probe_t)).is_admitted());
+        assert_eq!(sup.excluded(), scan(&sup));
+        assert_eq!(sup.excluded().len(), 1);
     }
 }
