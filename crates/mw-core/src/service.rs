@@ -532,25 +532,30 @@ struct LockedShard {
 }
 
 /// A shard's derived occupancy snapshot (`DESIGN.md` §10, "Region
-/// queries"): which objects hold a *stored* reading over which grid
-/// cell. Never maintained — [`Occupancy::build`] is its only writer,
-/// and a version mismatch throws the whole thing away.
+/// queries"): which objects hold a *stored* reading over which rect.
+/// Never maintained — [`Occupancy::build`] is its only writer, and a
+/// version mismatch throws the whole thing away.
 #[derive(Debug)]
 struct Occupancy {
     /// [`ShardState::readings_version`] this was built at.
     version: u64,
-    /// Shard-local object ids: grid payload → object.
+    /// Shard-local object ids → object.
     objects: Vec<MobileObjectId>,
-    /// Cell → objects with a stored reading over it. Objects the
-    /// pruning bound does not cover — a decaying, oversized or
-    /// `hit < false_positive` reading — are on the grid's always list.
+    /// Grid payload → `(rect, object id)`: one entry per stored reading
+    /// the pruning bound covers, and one `None` entry per object it
+    /// does not (a decaying or `hit < false_positive` reading).
+    entries: Vec<(Option<Rect>, u32)>,
+    /// Cell → entries whose rect covers it; `None` entries are on the
+    /// grid's always list.
     grid: InterestGrid<u32>,
 }
 
 impl Occupancy {
     fn build(readings: &SensorReadingTable, version: u64, universe_area: f64) -> Occupancy {
         let mut objects = Vec::new();
+        let mut entries = Vec::new();
         let mut grid = InterestGrid::default();
+        let next_entry = |entries: &Vec<_>| u32::try_from(entries.len()).expect("entry overflow");
         for (object, rows) in readings.stored_by_object() {
             let id = u32::try_from(objects.len()).expect("shard object overflow");
             objects.push(object.clone());
@@ -562,18 +567,21 @@ impl Occupancy {
                     && r.hit_probability_at(r.detected_at)
                         >= r.false_positive_probability(universe_area);
                 if bounded {
-                    grid.insert(&r.region, id);
+                    grid.insert(&r.region, next_entry(&entries));
+                    entries.push((Some(r.region), id));
                 } else {
                     always = true;
                 }
             }
             if always {
-                grid.insert_always(id);
+                grid.insert_always(next_entry(&entries));
+                entries.push((None, id));
             }
         }
         Occupancy {
             version,
             objects,
+            entries,
             grid,
         }
     }
@@ -600,13 +608,19 @@ impl LockedShard {
         self.state.write()
     }
 
-    /// Appends, in id order, every object of this shard that may hold a
-    /// stored reading overlapping `rect` with positive area, plus every
-    /// object the pruning bound does not cover — a superset of the
-    /// tracked objects whose posterior for `rect` can exceed the prior
-    /// share (see [`LocationService::objects_in_region`]). Rebuilds the
-    /// snapshot first when the reading table has moved since its tag.
-    fn region_candidates(&self, rect: &Rect, universe_area: f64, out: &mut Vec<MobileObjectId>) {
+    /// Appends, in id order, exactly the objects of this shard that hold
+    /// a bounded stored reading overlapping `rect` with positive area,
+    /// plus every object the pruning bound does not cover — the objects
+    /// whose posterior for `rect` can exceed the prior share (see
+    /// [`LocationService::objects_in_region`]). Rebuilds the snapshot
+    /// first when the reading table has moved since its tag. Returns
+    /// `(grid entries scanned, objects appended)`.
+    fn region_candidates(
+        &self,
+        rect: &Rect,
+        universe_area: f64,
+        out: &mut Vec<MobileObjectId>,
+    ) -> (usize, usize) {
         let state = self.read();
         let mut slot = self.occupancy.lock();
         if slot
@@ -620,13 +634,24 @@ impl LockedShard {
             ));
         }
         let occupancy = slot.as_ref().expect("built above");
-        let mut ids = Vec::new();
-        occupancy.grid.query_window(rect, &mut ids);
+        let mut hits = Vec::new();
+        occupancy.grid.query_window(rect, &mut hits);
+        // The bound's own test: cell membership alone is coarser.
+        let mut ids: Vec<u32> = hits
+            .iter()
+            .filter_map(|&entry| {
+                let (bounded, id) = occupancy.entries[entry as usize];
+                bounded
+                    .is_none_or(|r| r.intersection_area(rect) > 0.0)
+                    .then_some(id)
+            })
+            .collect();
         ids.sort_unstable();
         ids.dedup();
         let start = out.len();
         out.extend(ids.iter().map(|&id| occupancy.objects[id as usize].clone()));
         out[start..].sort();
+        (hits.len(), ids.len())
     }
 }
 
@@ -1269,6 +1294,8 @@ struct CoreMetrics {
     rules_candidates: mw_obs::Counter,
     rules_scanned: mw_obs::Counter,
     rules_selections: mw_obs::Counter,
+    region_scanned: mw_obs::Counter,
+    region_kept: mw_obs::Counter,
     objects_tracked: mw_obs::Gauge,
     mem_bytes_per_object: mw_obs::Gauge,
 }
@@ -1299,6 +1326,8 @@ impl CoreMetrics {
             rules_candidates: registry.counter("rules.candidates.examined"),
             rules_scanned: registry.counter("rules.candidates.scanned"),
             rules_selections: registry.counter("rules.candidates.selections"),
+            region_scanned: registry.counter("core.region.candidates.scanned"),
+            region_kept: registry.counter("core.region.candidates.kept"),
             objects_tracked: registry.gauge("core.objects.tracked"),
             mem_bytes_per_object: registry.gauge("core.mem.bytes_per_object"),
         }
@@ -2589,7 +2618,12 @@ impl LocationService {
         for shard in self.shards.iter() {
             match shard {
                 Shard::Locked(shard) if prune => {
-                    shard.region_candidates(&rect, universe.area(), &mut objects);
+                    let (scanned, kept) =
+                        shard.region_candidates(&rect, universe.area(), &mut objects);
+                    if let Some(metrics) = &self.metrics {
+                        metrics.region_scanned.add(scanned as u64);
+                        metrics.region_kept.add(kept as u64);
+                    }
                 }
                 _ => objects.extend(shard.tracked_objects(now)),
             }
@@ -4171,5 +4205,72 @@ mod tests {
         rarely_carried.spec = SensorSpec::ubisense(0.1);
         svc.ingest_reading(rarely_carried, SimTime::ZERO);
         assert_eq!(candidates(&svc, "carol"), vec!["carol".into()]);
+    }
+
+    /// The re-check keeps exactly the objects the pruning bound keeps:
+    /// two rooms sharing a wall and a hall touching both sit in one
+    /// 50-ft cell, so cell membership alone would fuse everyone on the
+    /// floor. Wall contact has zero area, so a reading that fills the
+    /// neighbouring room or only touches the room's wall is skipped;
+    /// the decaying reading elsewhere stays on the always list. Counts,
+    /// not timings.
+    #[test]
+    fn region_scan_keeps_only_positive_area_overlaps() {
+        let mut db = SpatialDatabase::new();
+        let prefix: mw_model::Glob = "CS/Floor3".parse().unwrap();
+        for (name, kind, r) in [
+            ("RoomA", ObjectType::Room, rect(0.0, 0.0, 20.0, 30.0)),
+            ("RoomB", ObjectType::Room, rect(20.0, 0.0, 40.0, 30.0)),
+            ("Hall", ObjectType::Corridor, rect(0.0, 30.0, 48.0, 45.0)),
+        ] {
+            db.insert_object(SpatialObject::new(
+                name,
+                prefix.clone(),
+                kind,
+                Geometry::Polygon(Polygon::from_rect(&r)),
+            ))
+            .unwrap();
+        }
+        let broker = Broker::new();
+        let registry = MetricsRegistry::new();
+        let svc =
+            LocationService::new_with_obs(db, rect(0.0, 0.0, 500.0, 100.0), &broker, &registry);
+        for (object, r) in [
+            ("a1", rect(5.0, 5.0, 8.0, 8.0)),
+            ("a2", rect(12.0, 20.0, 15.0, 24.0)),
+            ("b1", rect(25.0, 5.0, 28.0, 8.0)),
+            ("b_whole_room", rect(20.0, 0.0, 40.0, 30.0)),
+            ("h_on_the_wall", rect(2.0, 30.0, 10.0, 35.0)),
+        ] {
+            svc.ingest_reading(reading(object, r, 0.0), SimTime::ZERO);
+        }
+        let mut decaying = reading("d_far", rect(400.0, 50.0, 402.0, 52.0), 0.0);
+        decaying.tdf = TemporalDegradation::Linear {
+            lifetime: SimDuration::from_secs(30.0),
+        };
+        svc.ingest_reading(decaying, SimTime::ZERO);
+
+        let room = svc.world_snapshot().region_rect("CS/Floor3/RoomA").unwrap();
+        let mut candidates = Vec::new();
+        for shard in svc.shards.iter() {
+            match shard {
+                Shard::Locked(shard) => {
+                    shard.region_candidates(&room, 500.0 * 100.0, &mut candidates);
+                }
+                Shard::LeftRight(_) => panic!("default tuning uses locked shards"),
+            }
+        }
+        candidates.sort();
+        let expected: Vec<MobileObjectId> = vec!["a1".into(), "a2".into(), "d_far".into()];
+        assert_eq!(candidates, expected);
+
+        let mut inside = who_is_in(&svc, "CS/Floor3/RoomA", 1.0);
+        inside.sort();
+        assert_eq!(inside, vec!["a1".into(), "a2".into()]);
+        // The five stored rects of the one cell plus the always entry
+        // scanned, three objects kept.
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("core.region.candidates.scanned"), Some(6));
+        assert_eq!(snap.counter("core.region.candidates.kept"), Some(3));
     }
 }

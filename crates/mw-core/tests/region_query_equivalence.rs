@@ -94,8 +94,7 @@ enum Op {
     Insert {
         sensor: usize,
         object: usize,
-        at: Point,
-        shape: usize,
+        region: Rect,
         spec: usize,
         tdf: usize,
         short_lived: bool,
@@ -133,8 +132,7 @@ fn op() -> impl Strategy<Value = Op> {
                     0..=6 => Op::Insert {
                         sensor,
                         object,
-                        at: Point::new(x, y),
-                        shape,
+                        region: region(Point::new(x, y), shape),
                         spec,
                         tdf,
                         short_lived,
@@ -367,8 +365,7 @@ fn run(variant: Variant, ops: &[Op]) -> Result<(), TestCaseError> {
             Op::Insert {
                 sensor,
                 object,
-                at,
-                shape,
+                region,
                 spec: spec_kind,
                 tdf: tdf_kind,
                 short_lived,
@@ -378,7 +375,7 @@ fn run(variant: Variant, ops: &[Op]) -> Result<(), TestCaseError> {
                 spec: spec(*spec_kind),
                 object: object_id(*object),
                 glob_prefix: "CS/Floor3".parse().unwrap(),
-                region: region(*at, *shape),
+                region: *region,
                 detected_at: now,
                 time_to_live: SimDuration::from_secs(if *short_lived { 5.0 } else { 1e6 }),
                 tdf: tdf(*tdf_kind),
@@ -441,4 +438,94 @@ proptest! {
     ) {
         run(Variant::LeftRight, &ops)?;
     }
+}
+
+/// An undecaying, long-lived reading of `object` by `sensor`.
+fn insert(sensor: usize, object: usize, spec: usize, region: Rect) -> Op {
+    Op::Insert {
+        sensor,
+        object,
+        region,
+        spec,
+        tdf: 0,
+        short_lived: false,
+        moving: false,
+    }
+}
+
+fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Rect {
+    Rect::new(Point::new(x0, y0), Point::new(x1, y1))
+}
+
+/// Runs `ops`, then scans every room, on one shard (a single snapshot
+/// holds every object) and on sixteen.
+fn run_scripted(mut ops: Vec<Op>) -> Result<(), TestCaseError> {
+    ops.extend((0..ROOMS).map(|room| Op::Scan { room }));
+    run(Variant::Indexed { shards: 1 }, &ops)?;
+    run(Variant::Indexed { shards: 16 }, &ops)
+}
+
+/// Readings that touch the scanned room only along an edge or at a
+/// corner overlap it with zero area: the bound skips them, and their
+/// objects' posteriors stay at or below the prior share.
+#[test]
+fn readings_sharing_an_edge_or_corner_with_the_room() {
+    run_scripted(vec![
+        // Exactly R2: shares an edge with R1 and R3.
+        insert(0, 0, 0, rect(200.0, 0.0, 300.0, 100.0)),
+        // Flush against R3's west wall, inside R2.
+        insert(0, 1, 1, rect(250.0, 40.0, 300.0, 60.0)),
+        // Meets R3 and R4 only at their shared top corner.
+        insert(0, 2, 0, rect(400.0, 100.0, 410.0, 110.0)),
+        insert(0, 3, 2, rect(390.0, -10.0, 400.0, 0.0)),
+        // A zero-area reading on a wall.
+        insert(0, 4, 0, rect(300.0, 20.0, 300.0, 30.0)),
+        // And one strictly inside R3, for contrast.
+        insert(0, 5, 0, rect(340.0, 40.0, 342.0, 42.0)),
+    ])
+    .unwrap();
+}
+
+/// An object whose second stored reading overlaps the room while its
+/// first does not is still a candidate: every entry is checked, not
+/// the object's first. The two readings overlap each other, so fusion
+/// keeps both, and the weak RFID one cannot pull the posterior of R0
+/// below its prior share. Each storage order appears once.
+#[test]
+fn objects_with_one_overlapping_and_one_distant_reading() {
+    let straddling = rect(70.0, 20.0, 130.0, 80.0);
+    let in_r1 = rect(110.0, 20.0, 170.0, 80.0);
+    run_scripted(vec![
+        insert(0, 0, 1, straddling),
+        insert(1, 0, 2, in_r1),
+        insert(0, 1, 2, in_r1),
+        insert(1, 1, 1, straddling),
+        // Two readings in far-apart rooms: a conflict.
+        insert(0, 2, 0, rect(620.0, 20.0, 622.0, 22.0)),
+        insert(1, 2, 2, rect(60.0, 20.0, 90.0, 50.0)),
+    ])
+    .unwrap();
+}
+
+/// An object the bound does not cover sits on the always list and is a
+/// candidate for every room, however far its reading: a rarely carried
+/// badge's sighting lifts every *other* room above the prior share, and
+/// a decayed reading may too.
+#[test]
+fn always_list_object_alone_in_a_far_cell() {
+    let far = rect(940.0, 40.0, 942.0, 42.0);
+    run_scripted(vec![insert(0, 0, 3, far)]).unwrap();
+    run_scripted(vec![
+        Op::Insert {
+            sensor: 0,
+            object: 1,
+            region: far,
+            spec: 0,
+            tdf: 4,
+            short_lived: false,
+            moving: false,
+        },
+        Op::Advance(7.5),
+    ])
+    .unwrap();
 }

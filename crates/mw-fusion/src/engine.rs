@@ -508,6 +508,15 @@ mod tests {
         FusionEngine::new(r(0.0, 0.0, 500.0, 100.0))
     }
 
+    /// The service caches one result per tracked object, so its inline
+    /// capacities are paid once per person: 5 000 people at 2 000 B is
+    /// 10 MB of cache.
+    #[test]
+    fn cached_result_stays_under_two_kilobytes() {
+        let size = std::mem::size_of::<FusionResult>();
+        assert!(size <= 2_000, "size_of::<FusionResult>() = {size}");
+    }
+
     #[test]
     fn no_readings_gives_no_estimate() {
         let result = engine().fuse(&[], SimTime::ZERO);

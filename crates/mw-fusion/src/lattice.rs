@@ -18,9 +18,10 @@
 //! lists are `(start, len)` ranges into two shared edge arenas rather
 //! than per-node `Vec`s, and the per-node evidence lists of merged
 //! sensor rectangles are ranges into a shared index arena. For the
-//! typical fuse (≤ 8 readings, a dozen lattice nodes) building a
-//! lattice therefore performs **zero heap allocations**; larger
-//! lattices spill to the heap transparently. Edge *ordering* is
+//! typical fuse (one to three readings, at most eight lattice nodes
+//! counting Top and Bottom) building a lattice therefore performs
+//! **zero heap allocations**; larger lattices spill to the heap
+//! transparently. Edge *ordering* is
 //! identical to the historical per-node-`Vec` construction (every list
 //! ascends by node index), so traversal, `best_estimate` tie-breaking
 //! and posteriors are bit-identical.
@@ -101,10 +102,12 @@ impl Default for Node {
     }
 }
 
-/// Inline capacities: a typical fuse is 1–3 readings (≤ 8 by design),
-/// whose lattice stays within these bounds — larger ones spill.
-const NODES_INLINE: usize = 12;
-const EDGES_INLINE: usize = 24;
+/// Inline capacities: a typical fuse is 1–3 readings, whose lattice
+/// stays within these bounds — larger ones spill. They are sized
+/// against the fusion cache, which keeps one result per tracked object
+/// (see the `FusionResult` size test in `engine.rs`).
+const NODES_INLINE: usize = 8;
+const EDGES_INLINE: usize = 12;
 const EVIDENCE_INLINE: usize = 8;
 
 /// The containment lattice over sensor rectangles and their intersections.
