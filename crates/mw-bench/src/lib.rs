@@ -122,60 +122,6 @@ impl LatencyStats {
     }
 }
 
-/// The host-core gate shared by the multicore perf sweeps.
-///
-/// Speedup assertions only mean something when the contending threads
-/// get real cores; smaller hosts (the 1-CPU dev container) still run the
-/// sweeps for the numbers but skip the gate and record why in the
-/// `BENCH_perf.json` fragment. Every sweep used to hand-roll this
-/// detection — this is the one shared copy.
-#[derive(Debug, Clone)]
-pub struct HostGate {
-    /// Detected core count (`available_parallelism`, 1 when unknown).
-    pub cores: usize,
-    /// Cores the host needs before the assertion is enforced.
-    pub min_cores: usize,
-    /// Label of the gated claim, e.g. `">= 2x"` — interpolated into the
-    /// skip reason.
-    pub claim: &'static str,
-}
-
-impl HostGate {
-    /// Detects the host's core count; the gate enforces once
-    /// `cores >= min_cores`.
-    #[must_use]
-    pub fn new(claim: &'static str, min_cores: usize) -> HostGate {
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        HostGate {
-            cores,
-            min_cores,
-            claim,
-        }
-    }
-
-    /// Whether the host has enough cores for the assertion to bite.
-    #[must_use]
-    pub fn enforced(&self) -> bool {
-        self.cores >= self.min_cores
-    }
-
-    /// The `gate_skipped_reason` JSON value: `null` when enforced, a
-    /// quoted explanation otherwise.
-    #[must_use]
-    pub fn skipped_reason_json(&self) -> String {
-        if self.enforced() {
-            "null".to_string()
-        } else {
-            format!(
-                "\"host has {} core(s), the {} gate needs >= {}\"",
-                self.cores, self.claim, self.min_cores
-            )
-        }
-    }
-}
-
 /// Times a closure.
 pub fn time_it<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();
@@ -217,26 +163,6 @@ mod tests {
         assert_eq!(stats.mean(), Duration::from_millis(2));
         assert_eq!(stats.quantile(0.0), Duration::from_millis(1));
         assert_eq!(stats.quantile(1.0), Duration::from_millis(3));
-    }
-
-    #[test]
-    fn host_gate_skip_reason_names_the_claim() {
-        let gate = HostGate {
-            cores: 1,
-            min_cores: 4,
-            claim: ">= 2x",
-        };
-        assert!(!gate.enforced());
-        assert_eq!(
-            gate.skipped_reason_json(),
-            "\"host has 1 core(s), the >= 2x gate needs >= 4\""
-        );
-        let big = HostGate {
-            cores: 8,
-            ..gate.clone()
-        };
-        assert!(big.enforced());
-        assert_eq!(big.skipped_reason_json(), "null");
     }
 
     #[test]

@@ -27,8 +27,6 @@ mod error;
 mod fix;
 mod grid;
 pub mod ident;
-pub mod lr;
-pub mod pool;
 pub mod prelude;
 mod query;
 mod relations;
@@ -46,7 +44,7 @@ pub use relations::{CoLocation, ObjectRelation, RegionRelation};
 pub use rules::{Predicate, Rule, RuleBuilder};
 pub use service::{
     DegradationPolicy, LocationRequest, LocationResponse, LocationService, PartitionState,
-    ReadPath, ServiceTuning, SharedNotification,
+    ServiceTuning, SharedNotification,
 };
 pub use subscription::{
     DeliveryPolicy, SubscriptionId, SubscriptionSpec, SubscriptionSpecBuilder, SubscriptionTrigger,

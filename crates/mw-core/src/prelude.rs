@@ -16,7 +16,7 @@
 
 pub use crate::{
     AnswerQuality, CoreError, DeliveryPolicy, LocationFix, LocationQuery, LocationService,
-    Notification, Predicate, QueryAnswer, QueryTarget, ReadPath, Rule, RuleBuilder, ServiceTuning,
+    Notification, Predicate, QueryAnswer, QueryTarget, Rule, RuleBuilder, ServiceTuning,
     SubscriptionId, SubscriptionSpec, SubscriptionTrigger,
 };
 

@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use mw_bus::{Broker, Publisher};
 use mw_fusion::{BandThresholds, FusionEngine, FusionResult, SharedFusion};
@@ -23,8 +23,6 @@ use mw_spatial_db::{SensorReadingTable, SpatialDatabase, SpatialObject};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::grid::InterestGrid;
-use crate::lr::{Absorb, LeftRight};
-use crate::pool::WorkerPool;
 use crate::relations::{self, CoLocation, ObjectRelation, RegionRelation};
 use crate::rules::{EvalInput, EvalScratch, ObjectEvaluation, RuleEngine};
 use crate::symbolic::SymbolicLattice;
@@ -42,13 +40,11 @@ use crate::{
 /// deserializing either shape.
 pub type SharedNotification = Arc<Notification>;
 
-/// Concurrency tuning for [`LocationService`]: how many shards the
-/// per-object state is spread over, whether fusion results are cached
-/// between ingests, and how many worker threads the ingest pipeline
-/// fans out over. The defaults are right for production single-threaded
-/// ingest; tests that want the pre-sharding behaviour for differential
-/// comparison use `ServiceTuning { shards: 1, fusion_cache: false,
-/// ..ServiceTuning::default() }`.
+/// Tuning for [`LocationService`]: how many shards the per-object state
+/// is spread over, and whether each hot-path optimisation is on. The
+/// defaults are the production layout; tests that want the pre-sharding
+/// behaviour for differential comparison use `ServiceTuning { shards: 1,
+/// fusion_cache: false, ..ServiceTuning::default() }`.
 #[derive(Debug, Clone)]
 pub struct ServiceTuning {
     /// Number of shards in the per-object state map (readings,
@@ -62,24 +58,6 @@ pub struct ServiceTuning {
     /// lattice rebuild. Answers are bit-identical either way (see the
     /// equivalence property test).
     pub fusion_cache: bool,
-    /// Worker threads for the ingest pipeline (`DESIGN.md` §10): shard
-    /// op application and the per-affected-object fuse + subscription
-    /// evaluation fan out over a persistent [`pool::WorkerPool`] when
-    /// this is greater than 1, with notifications merged back in
-    /// deterministic (arrival) order so parallel output is bit-identical
-    /// to the serial path. The default of 1 keeps the serial code path:
-    /// no pool is created and every step runs on the caller thread
-    /// exactly as before.
-    pub ingest_threads: usize,
-    /// Which concurrency primitive serves the query path (`DESIGN.md`
-    /// §11). The default, [`ReadPath::Locked`], keeps the per-shard
-    /// `RwLock` layout byte-identical to previous releases;
-    /// [`ReadPath::LeftRight`] moves the read state onto the
-    /// [`crate::lr`] left-right cell so queries never block on ingest
-    /// (at the cost of a one-publish staleness window under
-    /// concurrent writes — the equivalence proptests prove the two
-    /// paths identical whenever reads and writes do not overlap).
-    pub read_path: ReadPath,
     /// Whether the rule compiler interns structurally-equal
     /// subexpressions into a shared trigger DAG (`DESIGN.md` §12). The
     /// default `true` evaluates each distinct predicate once per fuse;
@@ -88,7 +66,7 @@ pub struct ServiceTuning {
     /// differential-testing and benchmark baseline. Notifications are
     /// byte-identical either way (see the rule-equivalence proptests).
     pub rule_sharing: bool,
-    /// Whether locked shards keep per-object bookkeeping (epochs,
+    /// Whether shards keep per-object bookkeeping (epochs,
     /// fusion-cache entries, privacy depths, last-known-good fixes) in
     /// the handle-indexed struct-of-arrays slab keyed by the service's
     /// identity [`crate::ident::Interner`] (`DESIGN.md` §14). The
@@ -96,7 +74,7 @@ pub struct ServiceTuning {
     /// historical string-keyed `HashMap`s per shard, retained as the
     /// differential-testing twin (see the interned-equivalence
     /// proptests — answers, epochs and notifications are byte-identical
-    /// either way). Left-right shards always use the historical maps.
+    /// either way).
     pub compact_state: bool,
     /// Whether subscription evaluation is *differential* (`DESIGN.md`
     /// §15): per-(group, object) root values and per-(node, object)
@@ -117,28 +95,11 @@ impl Default for ServiceTuning {
         ServiceTuning {
             shards: 16,
             fusion_cache: true,
-            ingest_threads: 1,
-            read_path: ReadPath::Locked,
             rule_sharing: true,
             compact_state: true,
             differential_eval: true,
         }
     }
-}
-
-/// Which concurrency primitive serves the per-object read path — see
-/// [`ServiceTuning::read_path`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadPath {
-    /// Per-shard `RwLock`s: writers and readers share one lock per
-    /// shard. Exactly the pre-left-right behaviour; the default.
-    #[default]
-    Locked,
-    /// Left-right replicated shard state ([`crate::lr`]): writers
-    /// publish to a staging copy and flip an epoch; readers pin the
-    /// active copy wait-free. Reads served during a concurrent
-    /// publish may be one publish stale, never torn.
-    LeftRight,
 }
 
 /// One cached fusion pass. Valid only while every key field still
@@ -506,24 +467,13 @@ impl ShardState {
     }
 }
 
-/// One shard of per-object state, in one of two concurrency
-/// representations selected by [`ServiceTuning::read_path`].
+/// One shard of per-object state: a single `RwLock` over the whole
+/// shard, plus its derived occupancy snapshot.
 #[derive(Debug)]
-enum Shard {
-    /// A single `RwLock` over the whole shard — the pre-left-right
-    /// layout, byte-identical behaviour. (Boxed so the enum stays
-    /// small; each service holds only `tuning.shards` of these.)
-    Locked(Box<LockedShard>),
-    /// Left-right replicated read state plus a small locked sidecar
-    /// for the write-on-read maps (fusion cache, last-known-good).
-    LeftRight(Box<LrShard>),
-}
-
-#[derive(Debug)]
-struct LockedShard {
+struct Shard {
     state: RwLock<ShardState>,
     /// The derived region-query index, rebuilt lazily by
-    /// [`LockedShard::region_candidates`]. Lock order: `state.read()`
+    /// [`Shard::region_candidates`]. Lock order: `state.read()`
     /// first, then this mutex — never the reverse.
     occupancy: Mutex<Option<Occupancy>>,
     /// `core.shard.contention` handle, bumped when the uncontended
@@ -587,7 +537,7 @@ impl Occupancy {
     }
 }
 
-impl LockedShard {
+impl Shard {
     fn read(&self) -> RwLockReadGuard<'_, ShardState> {
         if let Some(guard) = self.state.try_read() {
             return guard;
@@ -653,210 +603,42 @@ impl LockedShard {
         out[start..].sort();
         (hits.len(), ids.len())
     }
-}
 
-/// The left-right replicated slice of a shard: everything the query
-/// path *reads*. The maps queries *write* (fusion cache entries,
-/// last-known-good fixes) live in [`LrAux`] so a query never touches
-/// the writer's publish lock.
-#[derive(Debug, Clone, Default)]
-struct LrState {
-    /// Shard-local reading storage, replicated onto both sides. Never
-    /// bound to the metrics registry: every op is absorbed once per
-    /// side, which would double-count the `db.*` counters.
-    db: SpatialDatabase,
-    /// Privacy policy: object → maximum GLOB depth revealed (§4.5).
-    privacy: HashMap<MobileObjectId, usize>,
-    /// Per-object reading-set epochs (the [`ObjectState::epoch`]
-    /// equivalent; the fusion cache itself lives in [`LrAux`]).
-    epochs: HashMap<MobileObjectId, u64>,
-}
-
-impl LrState {
-    fn bump_epoch(&mut self, object: &MobileObjectId) {
-        let epoch = self.epochs.entry(object.clone()).or_default();
-        *epoch = epoch.wrapping_add(1);
-    }
-}
-
-/// One replicated write op for an [`LrState`]; absorbed once per side,
-/// one publish apart.
-#[derive(Clone)]
-enum LrOp {
-    /// [`ShardOp::Revoke`] with the epoch bump attached.
-    Revoke(SensorId, MobileObjectId),
-    /// [`ShardOp::Insert`] with the ingest time attached (triggers
-    /// fire against the database on both sides; their events are
-    /// superseded by the subscription pass exactly as on the locked
-    /// path).
-    Insert(SensorReading, SimTime),
-    /// Seed-reading migration at construction: bypasses triggers and
-    /// epochs like the locked path's `readings_mut().insert`.
-    Seed(SensorReading),
-    SetPrivacy(MobileObjectId, usize),
-    ClearPrivacy(MobileObjectId),
-}
-
-impl Absorb<LrOp> for LrState {
-    fn absorb(&mut self, op: &LrOp) {
-        match op {
-            LrOp::Revoke(sensor, object) => {
-                self.db.revoke_readings(sensor, object);
-                self.bump_epoch(object);
-            }
-            LrOp::Insert(reading, now) => {
-                let _ = self.db.insert_reading(reading.clone(), *now);
-                self.bump_epoch(&reading.object);
-            }
-            LrOp::Seed(reading) => {
-                self.db.readings_mut().insert(reading.clone());
-            }
-            LrOp::SetPrivacy(object, max_depth) => {
-                self.privacy.insert(object.clone(), *max_depth);
-            }
-            LrOp::ClearPrivacy(object) => {
-                self.privacy.remove(object);
-            }
-        }
-    }
-}
-
-/// The locked sidecar of a left-right shard: maps the *query* path
-/// writes. Cache entries are validated against the left-right epoch
-/// on every lookup, so a stale entry is unreachable the instant a
-/// publish moves the epoch (the publish also sweeps it, keeping the
-/// invalidation metric and memory use honest).
-#[derive(Debug, Default)]
-struct LrAux {
-    cache: HashMap<MobileObjectId, CachedFusion>,
-    last_good: HashMap<MobileObjectId, LocationFix>,
-}
-
-#[derive(Debug)]
-struct LrShard {
-    state: LeftRight<LrState, LrOp>,
-    aux: RwLock<LrAux>,
-    metrics: Option<LrShardMetrics>,
-}
-
-/// Handles on the `core.read_path.*` metrics, cloned per shard
-/// (registry handles are interned by name, so every shard feeds the
-/// same series).
-#[derive(Debug, Clone)]
-struct LrShardMetrics {
-    swaps: mw_obs::Counter,
-    publish_latency: mw_obs::Histogram,
-    reader_lag: mw_obs::Gauge,
-    read_retries: mw_obs::Counter,
-}
-
-impl LrShardMetrics {
-    fn new(registry: &MetricsRegistry) -> Self {
-        LrShardMetrics {
-            swaps: registry.counter("core.read_path.swaps"),
-            publish_latency: registry.histogram("core.read_path.publish_latency_us"),
-            reader_lag: registry.gauge("core.read_path.reader_epoch_lag"),
-            read_retries: registry.counter("core.read_path.read_retries"),
-        }
-    }
-}
-
-impl LrShard {
-    /// Publishes `ops` through the left-right cell, recording the
-    /// `core.read_path.*` metrics around the swap.
-    fn publish(&self, ops: Vec<LrOp>) {
-        let started = std::time::Instant::now();
-        self.state.publish(ops);
-        if let Some(metrics) = &self.metrics {
-            metrics.swaps.inc();
-            metrics.publish_latency.observe(started.elapsed());
-            #[allow(clippy::cast_precision_loss)]
-            metrics.reader_lag.set(self.state.reader_lag() as f64);
-            metrics.read_retries.add(self.state.take_read_retries());
-        }
-    }
-
-    fn epoch_of(&self, object: &MobileObjectId) -> u64 {
-        self.state.read().epochs.get(object).copied().unwrap_or(0)
-    }
-}
-
-impl Shard {
     /// The object's reading-set epoch (0 if never seen).
     fn object_epoch(&self, object: &MobileObjectId) -> u64 {
-        match self {
-            Shard::Locked(shard) => shard.read().store.epoch_of(object),
-            Shard::LeftRight(shard) => shard.epoch_of(object),
-        }
+        self.read().store.epoch_of(object)
     }
 
     /// Objects with any per-object state in this shard (tracked-objects
     /// gauge input; cheap, no reading-table scan).
     fn state_len(&self) -> usize {
-        match self {
-            Shard::Locked(shard) => shard.read().store.state_len(),
-            Shard::LeftRight(shard) => shard.state.read().epochs.len(),
-        }
+        self.read().store.state_len()
     }
 
     /// Structural heap estimate of this shard's per-object bookkeeping.
     fn state_heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        match self {
-            Shard::Locked(shard) => shard.read().store.heap_bytes(),
-            Shard::LeftRight(shard) => {
-                let epochs = shard.state.read().epochs.len();
-                let aux = shard.aux.read();
-                // Two replicated sides of the epoch map plus the aux
-                // maps; coarse by design (the LR path is not the
-                // city-scale layout).
-                2 * epochs * (size_of::<MobileObjectId>() + size_of::<u64>() * 2)
-                    + aux.cache.len() * (size_of::<MobileObjectId>() + size_of::<CachedFusion>())
-                    + aux.last_good.len() * (size_of::<MobileObjectId>() + size_of::<LocationFix>())
-            }
-        }
+        self.read().store.heap_bytes()
     }
 
     fn reading_count(&self) -> usize {
-        match self {
-            Shard::Locked(shard) => shard.read().db.readings().len(),
-            Shard::LeftRight(shard) => shard.state.read().db.readings().len(),
-        }
+        self.read().db.readings().len()
     }
 
     fn tracked_objects(&self, now: SimTime) -> Vec<MobileObjectId> {
-        match self {
-            Shard::Locked(shard) => shard.read().db.readings().tracked_objects(now),
-            Shard::LeftRight(shard) => shard.state.read().db.readings().tracked_objects(now),
-        }
+        self.read().db.readings().tracked_objects(now)
     }
 
     /// The object's privacy depth limit, if any (§4.5).
     fn privacy_of(&self, object: &MobileObjectId) -> Option<usize> {
-        match self {
-            Shard::Locked(shard) => shard.read().store.privacy_of(object),
-            Shard::LeftRight(shard) => shard.state.read().privacy.get(object).copied(),
-        }
+        self.read().store.privacy_of(object)
     }
 
     fn set_privacy(&self, object: MobileObjectId, max_depth: usize) {
-        match self {
-            Shard::Locked(shard) => {
-                shard.write().store.set_privacy(object, max_depth);
-            }
-            // Privacy changes are writes, so they go through a publish
-            // like any other mutation (rare; administrative path).
-            Shard::LeftRight(shard) => shard.publish(vec![LrOp::SetPrivacy(object, max_depth)]),
-        }
+        self.write().store.set_privacy(object, max_depth);
     }
 
     fn clear_privacy(&self, object: &MobileObjectId) {
-        match self {
-            Shard::Locked(shard) => {
-                shard.write().store.clear_privacy(object);
-            }
-            Shard::LeftRight(shard) => shard.publish(vec![LrOp::ClearPrivacy(object.clone())]),
-        }
+        self.write().store.clear_privacy(object);
     }
 
     /// Looks up a valid cached fusion for `(object, now, excluded)`.
@@ -866,268 +648,89 @@ impl Shard {
         now: SimTime,
         excluded_key: u64,
     ) -> Option<(Arc<FusionResult>, usize, usize)> {
-        match self {
-            Shard::Locked(shard) => shard.read().store.cached(object, now, excluded_key),
-            Shard::LeftRight(shard) => {
-                // The authoritative epoch lives in the left-right
-                // state; an entry stored under an older epoch is a
-                // miss even before the publish sweeps it. Under a
-                // concurrent publish this epoch may itself be one
-                // publish stale — the same (allowed) window a fresh
-                // fuse over the pinned side would have.
-                let epoch = shard.epoch_of(object);
-                let aux = shard.aux.read();
-                let cached = aux.cache.get(object)?;
-                (cached.epoch == epoch && cached.now == now && cached.excluded_key == excluded_key)
-                    .then(|| (Arc::clone(&cached.result), cached.total, cached.used))
-            }
-        }
+        self.read().store.cached(object, now, excluded_key)
     }
 
     /// Copies the object's live readings (and the epoch they were read
     /// under) out of the shard, so fusion runs outside any lock.
     fn live_readings(&self, object: &MobileObjectId, now: SimTime) -> (Vec<SensorReading>, u64) {
-        match self {
-            Shard::Locked(shard) => {
-                let guard = shard.read();
-                let readings = guard.db.live_readings_for(object, now);
-                let epoch = guard.store.epoch_of(object);
-                (readings, epoch)
-            }
-            Shard::LeftRight(shard) => {
-                let guard = shard.state.read();
-                let readings = guard.db.live_readings_for(object, now);
-                let epoch = guard.epochs.get(object).copied().unwrap_or(0);
-                (readings, epoch)
-            }
-        }
+        let guard = self.read();
+        let readings = guard.db.live_readings_for(object, now);
+        let epoch = guard.store.epoch_of(object);
+        (readings, epoch)
     }
 
     /// Stores a fusion result in the cache — only if no ingest raced
     /// past the epoch it was computed under (a stale entry would be a
     /// correctness bug, a skipped store merely a future miss).
     fn store_fusion(&self, object: &MobileObjectId, entry: CachedFusion) {
-        match self {
-            Shard::Locked(shard) => {
-                shard.write().store.store_cache(object, entry);
-            }
-            Shard::LeftRight(shard) => {
-                let mut aux = shard.aux.write();
-                // Re-check under the aux lock: a publish that moved
-                // the epoch after we fused either already swept the
-                // cache (its sweep takes this lock) or will find and
-                // sweep this entry right after we release it — and
-                // lookups validate against the live epoch anyway.
-                if shard.epoch_of(object) == entry.epoch {
-                    aux.cache.insert(object.clone(), entry);
-                }
-            }
-        }
+        self.write().store.store_cache(object, entry);
     }
 
     fn last_good(&self, object: &MobileObjectId) -> Option<LocationFix> {
-        match self {
-            Shard::Locked(shard) => shard.read().store.last_good_of(object),
-            Shard::LeftRight(shard) => shard.aux.read().last_good.get(object).cloned(),
-        }
+        self.read().store.last_good_of(object)
     }
 
     fn record_last_good(&self, object: &MobileObjectId, fix: LocationFix) {
-        match self {
-            Shard::Locked(shard) => {
-                shard.write().store.record_last_good(object, fix);
-            }
-            Shard::LeftRight(shard) => {
-                shard.aux.write().last_good.insert(object.clone(), fix);
-            }
-        }
+        self.write().store.record_last_good(object, fix);
     }
 
     /// Applies one ingest batch's op queue for this shard, in order;
     /// returns how many cached fusions were invalidated.
     fn apply_ops(&self, ops: Vec<ShardOp>, now: SimTime) -> u64 {
-        match self {
-            Shard::Locked(shard) => {
-                let mut invalidated = 0u64;
-                let mut state = shard.write();
-                state.readings_version += 1;
-                for op in ops {
-                    match op {
-                        ShardOp::Revoke(sensor, object) => {
-                            state.db.revoke_readings(&sensor, &object);
-                            if state.bump_epoch(&object) {
-                                invalidated += 1;
-                            }
-                        }
-                        ShardOp::Insert(reading) => {
-                            let object = reading.object.clone();
-                            // Database-level trigger events are
-                            // superseded by the probability-filtered
-                            // subscription pass; the raw events remain
-                            // available to database-level users.
-                            let _ = state.db.insert_reading(reading, now);
-                            if state.bump_epoch(&object) {
-                                invalidated += 1;
-                            }
-                        }
-                    }
-                }
-                invalidated
-            }
-            Shard::LeftRight(shard) => {
-                let mut affected: Vec<MobileObjectId> = Vec::new();
-                let mut seen: HashSet<MobileObjectId> = HashSet::new();
-                let lr_ops: Vec<LrOp> = ops
-                    .into_iter()
-                    .map(|op| match op {
-                        ShardOp::Revoke(sensor, object) => {
-                            if seen.insert(object.clone()) {
-                                affected.push(object.clone());
-                            }
-                            LrOp::Revoke(sensor, object)
-                        }
-                        ShardOp::Insert(reading) => {
-                            if seen.insert(reading.object.clone()) {
-                                affected.push(reading.object.clone());
-                            }
-                            LrOp::Insert(reading, now)
-                        }
-                    })
-                    .collect();
-                shard.publish(lr_ops);
-                // Sweep the cache entries the epoch bumps orphaned.
-                // Lookups already reject them by epoch; the sweep
-                // reclaims the memory and counts the invalidation,
-                // matching the locked path's per-object accounting.
-                let mut aux = shard.aux.write();
-                let mut invalidated = 0u64;
-                for object in affected {
-                    if aux.cache.remove(&object).is_some() {
+        let mut invalidated = 0u64;
+        let mut state = self.write();
+        state.readings_version += 1;
+        for op in ops {
+            match op {
+                ShardOp::Revoke(sensor, object) => {
+                    state.db.revoke_readings(&sensor, &object);
+                    if state.bump_epoch(&object) {
                         invalidated += 1;
                     }
                 }
-                invalidated
+                ShardOp::Insert(reading) => {
+                    let object = reading.object.clone();
+                    // Database-level trigger events are superseded by
+                    // the probability-filtered subscription pass; the
+                    // raw events remain available to database-level
+                    // users.
+                    let _ = state.db.insert_reading(reading, now);
+                    if state.bump_epoch(&object) {
+                        invalidated += 1;
+                    }
+                }
             }
         }
+        invalidated
     }
 
     /// Copies the shard's live readings and last-known-good fixes out
     /// for a partition handoff snapshot.
     fn export_state(&self, now: SimTime) -> (Vec<SensorReading>, Vec<LocationFix>) {
-        match self {
-            Shard::Locked(shard) => {
-                let state = shard.read();
-                (
-                    state.db.readings().live_readings(now).cloned().collect(),
-                    state.store.export_last_good(),
-                )
-            }
-            Shard::LeftRight(shard) => {
-                let readings = shard
-                    .state
-                    .read()
-                    .db
-                    .readings()
-                    .live_readings(now)
-                    .cloned()
-                    .collect();
-                let fixes = shard.aux.read().last_good.values().cloned().collect();
-                (readings, fixes)
-            }
-        }
+        let state = self.read();
+        (
+            state.db.readings().live_readings(now).cloned().collect(),
+            state.store.export_last_good(),
+        )
     }
 
     /// Bulk seed-reading migration at construction (no triggers, no
-    /// epoch bumps — mirrors `readings_mut().insert` on the locked
-    /// path).
+    /// epoch bumps).
     fn seed_readings(&self, readings: Vec<SensorReading>) {
-        match self {
-            Shard::Locked(shard) => {
-                let mut state = shard.write();
-                state.readings_version += 1;
-                for reading in readings {
-                    state.db.readings_mut().insert(reading);
-                }
-            }
-            Shard::LeftRight(shard) => {
-                shard.publish(readings.into_iter().map(LrOp::Seed).collect());
-            }
+        let mut state = self.write();
+        state.readings_version += 1;
+        for reading in readings {
+            state.db.readings_mut().insert(reading);
         }
     }
 }
 
-/// The world/symbolic snapshot pair, in one of two concurrency
-/// representations (see [`ServiceTuning::read_path`]). Both hand out
-/// cheap `Arc` clones; they differ in how a rebuild is published.
+/// The derived static-world models, swapped together on mutation.
 #[derive(Debug)]
-enum WorldCell {
-    /// `RwLock`-guarded `Arc` swaps — the pre-left-right layout.
-    Locked {
-        world: RwLock<Arc<WorldModel>>,
-        symbolic: RwLock<Arc<SymbolicLattice>>,
-    },
-    /// Both snapshots behind one left-right cell: rebuilds publish a
-    /// replacement pair, readers pin wait-free. (Boxed: the cell's
-    /// reader-slot array dwarfs the two `Arc` pointers of `Locked`.)
-    LeftRight(Box<LeftRight<WorldSnapshots, WorldSnapshots>>),
-}
-
-/// The derived static-world models, swapped atomically on mutation.
-#[derive(Debug, Clone)]
 struct WorldSnapshots {
     world: Arc<WorldModel>,
     symbolic: Arc<SymbolicLattice>,
-}
-
-impl Absorb<WorldSnapshots> for WorldSnapshots {
-    fn absorb(&mut self, op: &WorldSnapshots) {
-        self.clone_from(op);
-    }
-}
-
-impl WorldCell {
-    fn new(read_path: ReadPath, world: WorldModel, symbolic: SymbolicLattice) -> Self {
-        let snapshots = WorldSnapshots {
-            world: Arc::new(world),
-            symbolic: Arc::new(symbolic),
-        };
-        match read_path {
-            ReadPath::Locked => WorldCell::Locked {
-                world: RwLock::new(snapshots.world),
-                symbolic: RwLock::new(snapshots.symbolic),
-            },
-            ReadPath::LeftRight => WorldCell::LeftRight(Box::new(LeftRight::new(snapshots))),
-        }
-    }
-
-    fn world(&self) -> Arc<WorldModel> {
-        match self {
-            WorldCell::Locked { world, .. } => Arc::clone(&world.read()),
-            WorldCell::LeftRight(cell) => Arc::clone(&cell.read().world),
-        }
-    }
-
-    fn symbolic(&self) -> Arc<SymbolicLattice> {
-        match self {
-            WorldCell::Locked { symbolic, .. } => Arc::clone(&symbolic.read()),
-            WorldCell::LeftRight(cell) => Arc::clone(&cell.read().symbolic),
-        }
-    }
-
-    fn replace(&self, new_world: Arc<WorldModel>, new_symbolic: Arc<SymbolicLattice>) {
-        match self {
-            WorldCell::Locked { world, symbolic } => {
-                // Readers hold cheap `Arc` snapshots; mutation swaps
-                // the pointer instead of blocking them mid-walk.
-                *world.write() = new_world;
-                *symbolic.write() = new_symbolic;
-            }
-            WorldCell::LeftRight(cell) => cell.publish(vec![WorldSnapshots {
-                world: new_world,
-                symbolic: new_symbolic,
-            }]),
-        }
-    }
 }
 
 /// Which shard an object's state lives in: hash of the id modulo the
@@ -1348,9 +951,10 @@ pub struct LocationService {
     /// The static tables: spatial objects, sensor metadata, triggers.
     /// Live readings are shard-local (see [`ShardState`]).
     statics: RwLock<SpatialDatabase>,
-    /// The derived world/symbolic snapshots, in the representation
-    /// selected by [`ServiceTuning::read_path`].
-    world: WorldCell,
+    /// The derived world/symbolic snapshots. Readers clone the `Arc`s
+    /// out; mutation swaps both pointers under one write lock instead of
+    /// blocking readers mid-walk.
+    world: RwLock<WorldSnapshots>,
     shards: Box<[Shard]>,
     tuning: ServiceTuning,
     engine: FusionEngine,
@@ -1375,13 +979,6 @@ pub struct LocationService {
     /// watchdogs). `None` keeps the pre-supervision behaviour exactly.
     supervisor: Option<SharedSupervisor>,
     degradation: DegradationPolicy,
-    /// The ingest worker pool (`ServiceTuning::ingest_threads > 1`);
-    /// `None` keeps the serial ingest path exactly.
-    pool: Option<WorkerPool>,
-    /// Self-reference so `&self` ingest paths can hand `'static` tasks
-    /// (owning an `Arc<Self>`) to the worker pool without unsafe
-    /// borrows. Always upgradable while a caller holds the service.
-    me: Weak<LocationService>,
 }
 
 /// One queued mutation for a shard, order-preserving within the shard
@@ -1527,7 +1124,7 @@ impl LocationService {
     }
 
     /// [`new_supervised`](LocationService::new_supervised) with explicit
-    /// concurrency tuning (shard count, fusion cache, ingest threads).
+    /// tuning (shard count, fusion cache, …).
     #[must_use]
     pub fn new_supervised_with_tuning(
         db: SpatialDatabase,
@@ -1561,7 +1158,6 @@ impl LocationService {
     ) -> Arc<Self> {
         let tuning = ServiceTuning {
             shards: tuning.shards.max(1),
-            ingest_threads: tuning.ingest_threads.max(1),
             ..tuning
         };
         // One identity table for the whole service: object and sensor
@@ -1570,35 +1166,26 @@ impl LocationService {
         let idents = Arc::new(crate::ident::Interner::new());
         // Shard-local reading databases; bound to the registry first so
         // the statics database's object gauge wins the final write.
-        // Left-right shards never bind the db metrics (each op is
-        // absorbed once per side, which would double-count them).
         let shards: Box<[Shard]> = (0..tuning.shards)
-            .map(|_| match tuning.read_path {
-                ReadPath::Locked => {
-                    let store = if tuning.compact_state {
-                        ObjectStore::compact(Arc::clone(&idents))
-                    } else {
-                        ObjectStore::legacy()
-                    };
-                    let shard = LockedShard {
-                        state: RwLock::new(ShardState {
-                            db: SpatialDatabase::new(),
-                            store,
-                            readings_version: 0,
-                        }),
-                        occupancy: Mutex::new(None),
-                        contention: registry.map(|r| r.counter("core.shard.contention")),
-                    };
-                    if let Some(registry) = registry {
-                        shard.state.write().db.bind_metrics(registry);
-                    }
-                    Shard::Locked(Box::new(shard))
+            .map(|_| {
+                let store = if tuning.compact_state {
+                    ObjectStore::compact(Arc::clone(&idents))
+                } else {
+                    ObjectStore::legacy()
+                };
+                let mut db = SpatialDatabase::new();
+                if let Some(registry) = registry {
+                    db.bind_metrics(registry);
                 }
-                ReadPath::LeftRight => Shard::LeftRight(Box::new(LrShard {
-                    state: LeftRight::new(LrState::default()),
-                    aux: RwLock::new(LrAux::default()),
-                    metrics: registry.map(LrShardMetrics::new),
-                })),
+                Shard {
+                    state: RwLock::new(ShardState {
+                        db,
+                        store,
+                        readings_version: 0,
+                    }),
+                    occupancy: Mutex::new(None),
+                    contention: registry.map(|r| r.counter("core.shard.contention")),
+                }
             })
             .collect();
         // Any readings pre-loaded into the seed database migrate to
@@ -1615,14 +1202,13 @@ impl LocationService {
             db.bind_metrics(registry);
             engine.bind_metrics(registry);
         }
-        let world = WorldModel::from_database(&db);
-        let symbolic = SymbolicLattice::from_database(&db);
-        // Serial default: no pool at all, so `ingest_threads = 1` takes
-        // exactly the pre-pipeline code path.
-        let pool = (tuning.ingest_threads > 1).then(|| WorkerPool::new(tuning.ingest_threads));
-        Arc::new_cyclic(|me| LocationService {
+        let world = RwLock::new(WorldSnapshots {
+            world: Arc::new(WorldModel::from_database(&db)),
+            symbolic: Arc::new(SymbolicLattice::from_database(&db)),
+        });
+        Arc::new(LocationService {
             statics: RwLock::new(db),
-            world: WorldCell::new(tuning.read_path, world, symbolic),
+            world,
             shards,
             engine,
             rules: RwLock::new(RuleEngine::new(tuning.rule_sharing, Arc::clone(&idents))),
@@ -1633,8 +1219,6 @@ impl LocationService {
             metrics: registry.map(CoreMetrics::new),
             supervisor,
             degradation: DegradationPolicy::default(),
-            pool,
-            me: me.clone(),
         })
     }
 
@@ -1650,8 +1234,8 @@ impl LocationService {
 
     /// The object's fusion-cache epoch: bumped on every ingest or
     /// revocation that touches the object, `0` if never seen. Exposed so
-    /// equivalence tests can assert that parallel and serial ingest
-    /// leave identical version state behind.
+    /// equivalence tests can assert that twin services leave identical
+    /// version state behind.
     #[must_use]
     pub fn object_epoch(&self, object: &MobileObjectId) -> u64 {
         self.shard(object).object_epoch(object)
@@ -1687,12 +1271,7 @@ impl LocationService {
     pub fn with_degradation_policy(self: Arc<Self>, policy: DegradationPolicy) -> Arc<Self> {
         let mut service = Arc::into_inner(self).expect("service handle already shared");
         service.degradation = policy;
-        // Re-wrapping allocates a fresh Arc, so the self-reference the
-        // ingest pipeline hands to pool workers must be re-seated too.
-        Arc::new_cyclic(|me| {
-            service.me = me.clone();
-            service
-        })
+        Arc::new(service)
     }
 
     /// The attached sensor supervisor, when constructed with
@@ -1752,21 +1331,23 @@ impl LocationService {
     pub fn add_object(&self, object: SpatialObject) -> Result<(), CoreError> {
         self.statics.write().insert_object(object)?;
         let db = self.statics.read();
-        let rebuilt = Arc::new(WorldModel::from_database(&db));
-        let symbolic = Arc::new(SymbolicLattice::from_database(&db));
+        let rebuilt = WorldSnapshots {
+            world: Arc::new(WorldModel::from_database(&db)),
+            symbolic: Arc::new(SymbolicLattice::from_database(&db)),
+        };
         drop(db);
-        self.world.replace(rebuilt, symbolic);
+        *self.world.write() = rebuilt;
         Ok(())
     }
 
     /// The current world-model snapshot (read-mostly: cloned `Arc`,
     /// never blocks mutators for longer than the pointer copy).
     fn world_snapshot(&self) -> Arc<WorldModel> {
-        self.world.world()
+        Arc::clone(&self.world.read().world)
     }
 
     fn symbolic_snapshot(&self) -> Arc<SymbolicLattice> {
-        self.world.symbolic()
+        Arc::clone(&self.world.read().symbolic)
     }
 
     /// Defines an application-level symbolic region (§4's task 4 and
@@ -1969,10 +1550,10 @@ impl LocationService {
     ) {
         let started = std::time::Instant::now();
         let mut reading_count = 0u64;
-        // Affected objects in first-touched order: the merge order of
-        // the notification pass, serial and parallel alike. The `seen`
-        // set keeps the dedup O(1) per reading (it used to be a linear
-        // `Vec::contains` scan, quadratic over large batches).
+        // Affected objects in first-touched order: the order of the
+        // notification pass. The `seen` set keeps the dedup O(1) per
+        // reading (it used to be a linear `Vec::contains` scan,
+        // quadratic over large batches).
         let mut affected: Vec<MobileObjectId> = Vec::new();
         let mut seen: HashSet<MobileObjectId> = HashSet::new();
         // Per-shard operation queues, order-preserving within a shard
@@ -2047,7 +1628,11 @@ impl LocationService {
                 .expect("supervisor lock poisoned")
                 .tick(now);
         }
-        self.evaluate_affected_into(affected, now, fired);
+        // The notification pass: one fuse + subscription evaluation per
+        // affected object.
+        for object in affected {
+            self.evaluate_subscriptions_into(&object, now, fired);
+        }
         let mut delivered = 0usize;
         // With nobody subscribed (batch pipelines that drain the
         // returned buffer directly), skip the publish loop entirely —
@@ -2075,69 +1660,13 @@ impl LocationService {
         }
     }
 
-    /// Applies the batch's per-shard op queues — concurrently over the
-    /// worker pool when one exists and more than one shard is touched
-    /// (shards are independent; order is preserved *within* each
-    /// shard's queue), serially on the caller thread otherwise. Returns
-    /// the number of cache entries invalidated.
+    /// Applies the batch's per-shard op queues, each under its shard's
+    /// write lock (order is preserved *within* each shard's queue).
+    /// Returns the number of cache entries invalidated.
     fn apply_ops(&self, ops: HashMap<usize, Vec<ShardOp>>, now: SimTime) -> u64 {
-        if ops.len() > 1 {
-            if let (Some(pool), Some(me)) = (self.pool.as_ref(), self.me.upgrade()) {
-                let tasks: Vec<_> = ops
-                    .into_iter()
-                    .map(|(index, shard_ops)| {
-                        let me = Arc::clone(&me);
-                        move || me.apply_shard_ops(index, shard_ops, now)
-                    })
-                    .collect();
-                return pool.run(tasks).into_iter().sum();
-            }
-        }
         ops.into_iter()
-            .map(|(index, shard_ops)| self.apply_shard_ops(index, shard_ops, now))
+            .map(|(index, shard_ops)| self.shards[index].apply_ops(shard_ops, now))
             .sum()
-    }
-
-    /// Applies one shard's op queue in order (under the shard's write
-    /// lock or through a left-right publish, per the read path);
-    /// returns how many cached fusions were invalidated.
-    fn apply_shard_ops(&self, index: usize, ops: Vec<ShardOp>, now: SimTime) -> u64 {
-        self.shards[index].apply_ops(ops, now)
-    }
-
-    /// The batch's notification pass: one fuse + subscription evaluation
-    /// per affected object. With a worker pool, the read-only half
-    /// (fusion, candidate selection, probability evaluation) fans out
-    /// across workers; the stateful half (edge-trigger recording) is
-    /// then folded in on the caller thread in `affected` order — object
-    /// by object, candidate by candidate — which is exactly the serial
-    /// path's order, so the fired notifications are bit-identical.
-    fn evaluate_affected_into(
-        &self,
-        affected: Vec<MobileObjectId>,
-        now: SimTime,
-        fired: &mut Vec<Notification>,
-    ) {
-        if affected.len() > 1 && self.rules.read().len() > 0 {
-            if let (Some(pool), Some(me)) = (self.pool.as_ref(), self.me.upgrade()) {
-                let tasks: Vec<_> = affected
-                    .iter()
-                    .cloned()
-                    .map(|object| {
-                        let me = Arc::clone(&me);
-                        move || me.evaluate_candidates(&object, now)
-                    })
-                    .collect();
-                let evaluations = pool.run(tasks);
-                for (object, evals) in affected.iter().zip(evaluations) {
-                    self.apply_evaluations_into(object, now, evals, fired);
-                }
-                return;
-            }
-        }
-        for object in affected {
-            self.evaluate_subscriptions_into(&object, now, fired);
-        }
     }
 
     /// Convenience: ingest a single reading.
@@ -2596,8 +2125,8 @@ impl LocationService {
     /// threshold above that rejects it unseen. The exhaustive walk
     /// remains for thresholds at or below the prior share, for a
     /// supervised service (a scan replays conflict feedback into the
-    /// health ledger for every object), under the aging motion model
-    /// (evidence rects outgrow stored rects) and on left-right shards.
+    /// health ledger for every object) and under the aging motion model
+    /// (evidence rects outgrow stored rects).
     ///
     /// # Errors
     ///
@@ -2616,16 +2145,14 @@ impl LocationService {
             && min_probability > prior_share * (1.0 + 1e-9);
         let mut objects = Vec::new();
         for shard in self.shards.iter() {
-            match shard {
-                Shard::Locked(shard) if prune => {
-                    let (scanned, kept) =
-                        shard.region_candidates(&rect, universe.area(), &mut objects);
-                    if let Some(metrics) = &self.metrics {
-                        metrics.region_scanned.add(scanned as u64);
-                        metrics.region_kept.add(kept as u64);
-                    }
+            if prune {
+                let (scanned, kept) = shard.region_candidates(&rect, universe.area(), &mut objects);
+                if let Some(metrics) = &self.metrics {
+                    metrics.region_scanned.add(scanned as u64);
+                    metrics.region_kept.add(kept as u64);
                 }
-                _ => objects.extend(shard.tracked_objects(now)),
+            } else {
+                objects.extend(shard.tracked_objects(now));
             }
         }
         let mut out = Vec::new();
@@ -2770,10 +2297,11 @@ impl LocationService {
 
     /// The read-only half of rule evaluation for one object: fuse,
     /// select candidate trigger groups, evaluate each reachable DAG
-    /// node once (memoized). Safe to run concurrently for distinct
-    /// objects — it mutates nothing but the per-object fusion cache
-    /// (which is keyed so concurrent stores are idempotent); atom-clock
-    /// updates are collected, not applied.
+    /// node once (memoized). It runs under the rule engine's *read*
+    /// lock, so partner fixes can fuse and concurrent ingest callers
+    /// can evaluate alongside it; it mutates nothing but the per-object
+    /// fusion cache (which is keyed so concurrent stores are
+    /// idempotent), and atom-clock updates are collected, not applied.
     fn evaluate_candidates(&self, object: &MobileObjectId, now: SimTime) -> ObjectEvaluation {
         let _timer = self.metrics.as_ref().map(|m| m.match_latency.start_timer());
         // One shared fusion pass per object per batch: the fresh fuse
@@ -2795,8 +2323,8 @@ impl LocationService {
         // look-alike rule count too.
         // Per-thread reusable buffers for the hot path: the evidence
         // windows, the candidate list, and the generation-stamped node
-        // memo. Thread-local (not per-service) because evaluation fans
-        // out over pool workers.
+        // memo. Thread-local (not per-service) because several threads
+        // may call `ingest` on one service concurrently.
         thread_local! {
             static WINDOWS: RefCell<Vec<Rect>> = const { RefCell::new(Vec::new()) };
             static CANDIDATES: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
@@ -2895,9 +2423,8 @@ impl LocationService {
     /// The stateful half: fold one object's group evaluations into the
     /// edge-trigger state, in group order, emitting a [`Notification`]
     /// per member of each fired group (ascending subscription id).
-    /// Always runs on the ingest caller's thread, object by object in
-    /// `affected` order — the same order the serial path uses, which is
-    /// what makes the parallel pipeline's output bit-identical.
+    /// Runs on the ingest caller's thread, object by object in
+    /// `affected` order.
     fn apply_evaluations_into(
         &self,
         object: &MobileObjectId,
@@ -2913,8 +2440,8 @@ impl LocationService {
         // result `Vec` per object — and because it holds one record per
         // fired *group* (not per member), a 100-member look-alike group
         // costs one push; members expand straight into `out` below
-        // (DESIGN.md §15). Thread-local, not per-service: apply always
-        // runs on the ingest caller's thread.
+        // (DESIGN.md §15). Thread-local, not per-service: concurrent
+        // `ingest` callers each need their own buffer.
         thread_local! {
             static FIRED: RefCell<Vec<crate::rules::FiredGroup>> =
                 const { RefCell::new(Vec::new()) };
@@ -4065,16 +3592,9 @@ mod tests {
 
     // --- region queries: the occupancy snapshot's life cycle ---------------
 
-    fn locked_shard<'a>(svc: &'a LocationService, object: &str) -> &'a LockedShard {
-        match svc.shard(&object.into()) {
-            Shard::Locked(shard) => shard,
-            Shard::LeftRight(_) => panic!("default tuning uses locked shards"),
-        }
-    }
-
     /// `(snapshot tag, reading-table version)` of `object`'s shard.
     fn occupancy_versions(svc: &LocationService, object: &str) -> (Option<u64>, u64) {
-        let shard = locked_shard(svc, object);
+        let shard = svc.shard(&object.into());
         let version = shard.read().readings_version;
         let tag = shard.occupancy.lock().as_ref().map(|o| o.version);
         (tag, version)
@@ -4160,7 +3680,8 @@ mod tests {
         let epoch = svc.object_epoch(&"alice".into());
         svc.locate(&"alice".into(), SimTime::from_secs(2.0))
             .unwrap();
-        assert!(locked_shard(&svc, "alice")
+        assert!(svc
+            .shard(&"alice".into())
             .read()
             .store
             .cached(&"alice".into(), SimTime::from_secs(2.0), 0)
@@ -4177,7 +3698,8 @@ mod tests {
         let far_away = rect(10.0, 60.0, 20.0, 70.0);
         let candidates = |svc: &LocationService, object: &str| {
             let mut out = Vec::new();
-            locked_shard(svc, object).region_candidates(&far_away, area, &mut out);
+            svc.shard(&object.into())
+                .region_candidates(&far_away, area, &mut out);
             out
         };
         let in_room = rect(339.0, 9.0, 341.0, 11.0);
@@ -4253,12 +3775,7 @@ mod tests {
         let room = svc.world_snapshot().region_rect("CS/Floor3/RoomA").unwrap();
         let mut candidates = Vec::new();
         for shard in svc.shards.iter() {
-            match shard {
-                Shard::Locked(shard) => {
-                    shard.region_candidates(&room, 500.0 * 100.0, &mut candidates);
-                }
-                Shard::LeftRight(_) => panic!("default tuning uses locked shards"),
-            }
+            shard.region_candidates(&room, 500.0 * 100.0, &mut candidates);
         }
         candidates.sort();
         let expected: Vec<MobileObjectId> = vec!["a1".into(), "a2".into(), "d_far".into()];

@@ -1,7 +1,5 @@
 //! Property: the sharded, epoch-cached service is observationally
-//! identical to a single-shard, cache-free service fed the same inputs —
-//! and the parallel ingest pipeline is observationally identical to the
-//! serial one.
+//! identical to a single-shard, cache-free service fed the same inputs.
 //!
 //! The fusion cache returns `Arc`-shared results keyed on (epoch, query
 //! time, excluded-sensor fingerprint), and query-region evaluation runs
@@ -11,27 +9,16 @@
 //! drives arbitrary interleavings of ingests, revocations, and queries
 //! over several objects through both configurations and demands exact
 //! equality (`==` on `f64`s, not approximate).
-//!
-//! The parallel proptests below make the same demand of
-//! `ServiceTuning::ingest_threads`: for every random batch schedule,
-//! services running 2 and 8 worker threads must return byte-identical
-//! notification lists, leave identical per-object epochs behind, and
-//! answer every query exactly like the single-threaded twin — with and
-//! without a sensor supervisor in the loop.
 
 use std::sync::Arc;
 
 use mw_bus::Broker;
-use mw_core::{LocationQuery, LocationService, ReadPath, ServiceTuning, SubscriptionSpec};
+use mw_core::{LocationQuery, LocationService, ServiceTuning};
 use mw_geometry::{Point, Polygon, Rect};
 use mw_model::{SimDuration, SimTime, TemporalDegradation};
-use mw_obs::MetricsRegistry;
-use mw_sensors::{
-    AdapterOutput, HealthConfig, Revocation, SensorReading, SensorSpec, SensorSupervisor,
-};
+use mw_sensors::{AdapterOutput, Revocation, SensorReading, SensorSpec};
 use mw_spatial_db::{Geometry, ObjectType, SpatialDatabase, SpatialObject};
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 
 const OBJECTS: &[&str] = &["alice", "bob", "carol"];
 const SENSORS: &[&str] = &["Ubi-1", "Ubi-2", "RF-1"];
@@ -208,367 +195,5 @@ proptest! {
         // The same objects are tracked at the end, in the same order.
         let end = SimTime::from_secs(ops.len() as f64);
         prop_assert_eq!(tuned.tracked_objects(end), plain.tracked_objects(end));
-    }
-}
-
-// --- parallel ingest pipeline vs serial twin -----------------------------
-
-/// One adapter output inside a batch. `y` ranges past the building frame
-/// (height 100) so the supervised variant exercises admission rejects.
-#[derive(Debug, Clone)]
-enum BatchItem {
-    Reading {
-        sensor: usize,
-        object: usize,
-        x: f64,
-        y: f64,
-        ttl_secs: f64,
-    },
-    Revoke {
-        sensor: usize,
-        object: usize,
-    },
-}
-
-fn batch_item() -> impl Strategy<Value = BatchItem> {
-    (
-        0..8usize,
-        0..SENSORS.len(),
-        0..OBJECTS.len(),
-        (2.0..448.0f64, 2.0..130.0f64),
-    )
-        .prop_map(|(kind, sensor, object, (x, y))| match kind {
-            0..=5 => BatchItem::Reading {
-                sensor,
-                object,
-                x: x + 1.0,
-                y: y + 1.0,
-                ttl_secs: if kind % 2 == 0 { 1e6 } else { 5.0 },
-            },
-            _ => BatchItem::Revoke { sensor, object },
-        })
-}
-
-fn batches() -> impl Strategy<Value = Vec<Vec<BatchItem>>> {
-    proptest::collection::vec(proptest::collection::vec(batch_item(), 1..12), 1..8)
-}
-
-fn item_to_output(item: &BatchItem, at: SimTime) -> AdapterOutput {
-    match *item {
-        BatchItem::Reading {
-            sensor,
-            object,
-            x,
-            y,
-            ttl_secs,
-        } => AdapterOutput::single(reading(sensor, object, Point::new(x, y), at, ttl_secs)),
-        BatchItem::Revoke { sensor, object } => AdapterOutput {
-            readings: vec![],
-            revocations: vec![Revocation {
-                sensor_id: SENSORS[sensor].into(),
-                object: OBJECTS[object].into(),
-            }],
-        },
-    }
-}
-
-/// Registers the same subscription load-out on a service: one region
-/// subscription per room plus a per-object subscription, registered in a
-/// fixed order so ids line up across twins.
-fn register_subs(service: &LocationService) {
-    for i in 0..10 {
-        let x0 = i as f64 * 50.0;
-        let room = Rect::new(Point::new(x0, 0.0), Point::new(x0 + 50.0, 100.0));
-        let _ = service.subscribe(SubscriptionSpec::region_entry(room, 0.3));
-    }
-    for (i, object) in OBJECTS.iter().enumerate() {
-        let x0 = i as f64 * 150.0;
-        let rect = Rect::new(Point::new(x0, 0.0), Point::new(x0 + 150.0, 100.0));
-        let _ = service
-            .subscribe(SubscriptionSpec::region_entry(rect, 0.2).for_object((*object).into()));
-    }
-}
-
-fn build_parallel(threads: usize) -> Arc<LocationService> {
-    let service = build(ServiceTuning {
-        ingest_threads: threads,
-        ..ServiceTuning::default()
-    });
-    register_subs(&service);
-    service
-}
-
-fn build_supervised(threads: usize) -> Arc<LocationService> {
-    let broker = Broker::new();
-    let registry = MetricsRegistry::new();
-    let supervisor = SensorSupervisor::new(HealthConfig::new(universe())).shared();
-    let service = LocationService::new_supervised_with_tuning(
-        floor_db(),
-        universe(),
-        &broker,
-        &registry,
-        supervisor,
-        ServiceTuning {
-            ingest_threads: threads,
-            ..ServiceTuning::default()
-        },
-    );
-    register_subs(&service);
-    service
-}
-
-/// Drives the same batch schedule through `serial` and `parallel` and
-/// demands bit-identical observable behaviour at every step.
-fn assert_twins_agree(
-    serial: &LocationService,
-    parallel: &LocationService,
-    schedule: &[Vec<BatchItem>],
-    threads: usize,
-) -> Result<(), TestCaseError> {
-    for (step, batch) in schedule.iter().enumerate() {
-        let now = SimTime::from_secs(step as f64);
-        let outputs: Vec<AdapterOutput> = batch.iter().map(|i| item_to_output(i, now)).collect();
-        let a = serial.ingest_batch(outputs.clone(), now);
-        let b = parallel.ingest_batch(outputs, now);
-        prop_assert_eq!(
-            a,
-            b,
-            "notifications diverged at step {} with {} threads",
-            step,
-            threads
-        );
-        prop_assert_eq!(serial.reading_count(), parallel.reading_count());
-        for object in OBJECTS {
-            prop_assert_eq!(
-                serial.object_epoch(&(*object).into()),
-                parallel.object_epoch(&(*object).into()),
-                "epoch diverged for {} at step {} with {} threads",
-                object,
-                step,
-                threads
-            );
-        }
-    }
-    let end = SimTime::from_secs(schedule.len() as f64);
-    for object in OBJECTS {
-        let fa = serial.locate(&(*object).into(), end);
-        let fb = parallel.locate(&(*object).into(), end);
-        match (fa, fb) {
-            (Ok(fa), Ok(fb)) => prop_assert!(
-                fa == fb,
-                "locate diverged for {object} with {threads} threads: {fa:?} vs {fb:?}"
-            ),
-            (Err(_), Err(_)) => {}
-            (fa, fb) => prop_assert!(
-                false,
-                "locate diverged for {object} with {threads} threads: {fa:?} vs {fb:?}"
-            ),
-        }
-        for i in 0..10 {
-            let x0 = i as f64 * 50.0;
-            let room = Rect::new(Point::new(x0, 0.0), Point::new(x0 + 50.0, 100.0));
-            let q = || LocationQuery::of(*object).in_rect(room).at(end);
-            match (serial.query(q()), parallel.query(q())) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a.probability(), b.probability());
-                    prop_assert_eq!(a.band(), b.band());
-                    prop_assert_eq!(a.quality(), b.quality());
-                }
-                (Err(_), Err(_)) => {}
-                (a, b) => prop_assert!(
-                    false,
-                    "query diverged for {object} with {threads} threads: {a:?} vs {b:?}"
-                ),
-            }
-        }
-    }
-    prop_assert_eq!(serial.tracked_objects(end), parallel.tracked_objects(end));
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// `ingest_threads ∈ {2, 8}` is observationally identical to the
-    /// single-threaded pipeline on an unsupervised service.
-    #[test]
-    fn parallel_ingest_matches_serial(schedule in batches()) {
-        let serial = build_parallel(1);
-        for threads in [2usize, 8] {
-            let parallel = build_parallel(threads);
-            // Fresh serial twin per comparison so both sides see the
-            // schedule from the same initial state.
-            let serial_twin = build_parallel(1);
-            assert_twins_agree(&serial_twin, &parallel, &schedule, threads)?;
-        }
-        // The original serial service still behaves like a fresh one
-        // (guards against hidden global state).
-        let check = build_parallel(1);
-        assert_twins_agree(&serial, &check, &schedule, 1)?;
-    }
-
-    /// Same property with a sensor supervisor in the loop: batch
-    /// admission happens on the caller thread in arrival order, so the
-    /// health ledger — and everything gated on it — must be independent
-    /// of the worker count. Out-of-frame readings exercise rejects.
-    #[test]
-    fn parallel_ingest_matches_serial_supervised(schedule in batches()) {
-        for threads in [2usize, 8] {
-            let serial = build_supervised(1);
-            let parallel = build_supervised(threads);
-            assert_twins_agree(&serial, &parallel, &schedule, threads)?;
-        }
-    }
-}
-
-// --- left-right read path vs locked twin ---------------------------------
-
-fn build_read_path(read_path: ReadPath) -> Arc<LocationService> {
-    let service = build(ServiceTuning {
-        read_path,
-        ..ServiceTuning::default()
-    });
-    register_subs(&service);
-    service
-}
-
-fn build_supervised_read_path(read_path: ReadPath) -> Arc<LocationService> {
-    let broker = Broker::new();
-    let registry = MetricsRegistry::new();
-    let supervisor = SensorSupervisor::new(HealthConfig::new(universe())).shared();
-    let service = LocationService::new_supervised_with_tuning(
-        floor_db(),
-        universe(),
-        &broker,
-        &registry,
-        supervisor,
-        ServiceTuning {
-            read_path,
-            ..ServiceTuning::default()
-        },
-    );
-    register_subs(&service);
-    service
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// `ReadPath::LeftRight` is observationally identical to
-    /// `ReadPath::Locked` over arbitrary interleaved ingest/query
-    /// scripts: same notifications, reading counts, per-object epochs,
-    /// fixes, and query answers at every step (the `assert_twins_agree`
-    /// contract from the PR 5 serial-equivalence suite).
-    #[test]
-    fn left_right_read_path_matches_locked(schedule in batches()) {
-        let locked = build_read_path(ReadPath::Locked);
-        let left_right = build_read_path(ReadPath::LeftRight);
-        assert_twins_agree(&locked, &left_right, &schedule, 1)?;
-    }
-
-    /// Same with a sensor supervisor in the loop, which additionally
-    /// exercises the last-known-good sidecar (`locate` writes fixes on
-    /// the query path) and quarantine-keyed cache entries.
-    #[test]
-    fn left_right_read_path_matches_locked_supervised(schedule in batches()) {
-        let locked = build_supervised_read_path(ReadPath::Locked);
-        let left_right = build_supervised_read_path(ReadPath::LeftRight);
-        assert_twins_agree(&locked, &left_right, &schedule, 1)?;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The equivalence holds while 2–8 reader threads hammer the
-    /// left-right service's query path concurrently with ingest: the
-    /// main thread's step-by-step assertions (which serialize with
-    /// ingest) stay bit-identical to the locked twin, and every
-    /// concurrent answer is well-formed (a probability in [0, 1] or a
-    /// defined error — never a panic or torn value).
-    #[test]
-    fn left_right_equivalence_holds_under_concurrent_readers(
-        schedule in batches(),
-        readers in 2usize..=8,
-    ) {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-        let locked = build_read_path(ReadPath::Locked);
-        let left_right = build_read_path(ReadPath::LeftRight);
-        let stop = Arc::new(AtomicBool::new(false));
-        let step = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..readers)
-            .map(|seed| {
-                let service = Arc::clone(&left_right);
-                let stop = Arc::clone(&stop);
-                let step = Arc::clone(&step);
-                std::thread::spawn(move || {
-                    let mut answered = 0u64;
-                    let mut at = 0usize;
-                    // Spin until the driver finishes, then do one last
-                    // pass so every reader observes the final state.
-                    loop {
-                        let finished = stop.load(Ordering::Acquire);
-                        let now = SimTime::from_secs(step.load(Ordering::Acquire) as f64);
-                        let object = OBJECTS[(seed + at) % OBJECTS.len()];
-                        let x0 = ((seed + at) % 10) as f64 * 50.0;
-                        let room = Rect::new(Point::new(x0, 0.0), Point::new(x0 + 50.0, 100.0));
-                        let q = LocationQuery::of(object).in_rect(room).at(now);
-                        match service.query(q) {
-                            Ok(answer) => {
-                                let p = answer.probability().unwrap_or(0.0);
-                                assert!((0.0..=1.0).contains(&p), "malformed probability {p}");
-                                answered += 1;
-                            }
-                            Err(_) => answered += 1,
-                        }
-                        let _ = service.locate(&object.into(), now);
-                        at += 1;
-                        if finished {
-                            break;
-                        }
-                    }
-                    answered
-                })
-            })
-            .collect();
-        for (i, batch) in schedule.iter().enumerate() {
-            step.store(i, Ordering::Release);
-            let now = SimTime::from_secs(i as f64);
-            let outputs: Vec<AdapterOutput> = batch.iter().map(|b| item_to_output(b, now)).collect();
-            let a = locked.ingest_batch(outputs.clone(), now);
-            let b = left_right.ingest_batch(outputs, now);
-            // Readers never touch notification state, so the streams
-            // must stay identical even while they race the queries.
-            prop_assert_eq!(a, b, "notifications diverged at step {}", i);
-            prop_assert_eq!(locked.reading_count(), left_right.reading_count());
-        }
-        stop.store(true, Ordering::Release);
-        for handle in handles {
-            let answered = handle.join().expect("concurrent reader panicked");
-            prop_assert!(answered > 0, "a reader never completed a query");
-        }
-        // Post-quiescence: full equivalence of the end state.
-        let end = SimTime::from_secs(schedule.len() as f64);
-        for object in OBJECTS {
-            let fa = locked.locate(&(*object).into(), end);
-            let fb = left_right.locate(&(*object).into(), end);
-            match (fa, fb) {
-                (Ok(fa), Ok(fb)) => prop_assert!(
-                    fa == fb,
-                    "locate diverged for {object} after concurrent reads: {fa:?} vs {fb:?}"
-                ),
-                (Err(_), Err(_)) => {}
-                (fa, fb) => prop_assert!(
-                    false,
-                    "locate diverged for {object} after concurrent reads: {fa:?} vs {fb:?}"
-                ),
-            }
-            prop_assert_eq!(
-                locked.object_epoch(&(*object).into()),
-                left_right.object_epoch(&(*object).into())
-            );
-        }
-        prop_assert_eq!(locked.tracked_objects(end), left_right.tracked_objects(end));
     }
 }

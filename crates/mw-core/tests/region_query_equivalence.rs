@@ -15,15 +15,15 @@
 //! lifts the posterior of every region the reading does *not* cover
 //! above the prior share), a `h < q` calibration, zero-area, room-exact,
 //! strip-shaped and larger-than-the-grid-cap readings, and thresholds
-//! straddling a prior share of exactly 0.1. The twins cover the three
+//! straddling a prior share of exactly 0.1. The twins cover the two
 //! conditions under which the service must fall back to the exhaustive
-//! walk: supervised (where the health ledger must match too), the aging
-//! motion model, and the left-right read path.
+//! walk: supervised (where the health ledger must match too) and the
+//! aging motion model.
 
 use std::sync::Arc;
 
 use mw_bus::Broker;
-use mw_core::{LocationQuery, LocationService, ReadPath, ServiceTuning};
+use mw_core::{LocationQuery, LocationService, ServiceTuning};
 use mw_fusion::FusionEngine;
 use mw_geometry::{Point, Polygon, Rect};
 use mw_model::{SimDuration, SimTime, TemporalDegradation};
@@ -201,17 +201,15 @@ fn sensor_id(sensor: usize) -> SensorId {
 
 #[derive(Clone, Copy)]
 enum Variant {
-    /// Unsupervised, locked shards, the paper's model: the snapshot
-    /// answers every threshold above the prior share. With one shard
-    /// all 30 objects share a snapshot, so equal posteriors — whose
-    /// order the candidates' id order decides — are common.
+    /// Unsupervised, the paper's model: the snapshot answers every
+    /// threshold above the prior share. With one shard all 30 objects
+    /// share a snapshot, so equal posteriors — whose order the
+    /// candidates' id order decides — are common.
     Indexed { shards: usize },
     /// Fall-back 1: a scan feeds conflict outcomes to the supervisor.
     Supervised,
     /// Fall-back 2: evidence rects outgrow the stored rects.
     AgingInflation,
-    /// Fall-back 3: no locked shard to hang a snapshot on.
-    LeftRight,
 }
 
 struct Service {
@@ -243,15 +241,6 @@ fn build(variant: Variant) -> Service {
             floor_db(),
             FusionEngine::new(universe()).with_aging_inflation(4.0),
             &broker,
-        ),
-        Variant::LeftRight => LocationService::new_with_tuning(
-            floor_db(),
-            universe(),
-            &broker,
-            ServiceTuning {
-                read_path: ReadPath::LeftRight,
-                ..ServiceTuning::default()
-            },
         ),
     };
     Service {
@@ -430,13 +419,6 @@ proptest! {
         ops in proptest::collection::vec(op(), 1..60),
     ) {
         run(Variant::AgingInflation, &ops)?;
-    }
-
-    #[test]
-    fn left_right_shards_take_the_exhaustive_walk(
-        ops in proptest::collection::vec(op(), 1..60),
-    ) {
-        run(Variant::LeftRight, &ops)?;
     }
 }
 
