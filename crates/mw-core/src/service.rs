@@ -66,16 +66,6 @@ pub struct ServiceTuning {
     /// differential-testing and benchmark baseline. Notifications are
     /// byte-identical either way (see the rule-equivalence proptests).
     pub rule_sharing: bool,
-    /// Whether shards keep per-object bookkeeping (epochs,
-    /// fusion-cache entries, privacy depths, last-known-good fixes) in
-    /// the handle-indexed struct-of-arrays slab keyed by the service's
-    /// identity [`crate::ident::Interner`] (`DESIGN.md` §14). The
-    /// default `true` is the city-scale layout; `false` keeps the
-    /// historical string-keyed `HashMap`s per shard, retained as the
-    /// differential-testing twin (see the interned-equivalence
-    /// proptests — answers, epochs and notifications are byte-identical
-    /// either way).
-    pub compact_state: bool,
     /// Whether subscription evaluation is *differential* (`DESIGN.md`
     /// §15): per-(group, object) root values and per-(node, object)
     /// frontier values are cached under a fingerprint of the fuse's
@@ -96,7 +86,6 @@ impl Default for ServiceTuning {
             shards: 16,
             fusion_cache: true,
             rule_sharing: true,
-            compact_state: true,
             differential_eval: true,
         }
     }
@@ -122,66 +111,45 @@ struct CachedFusion {
     used: usize,
 }
 
-/// Per-object bookkeeping inside one shard (legacy string-keyed layout).
-#[derive(Debug, Default)]
-struct ObjectState {
-    /// Monotonic version of the object's reading set: bumped on every
-    /// ingest and revocation that touches the object. A bump orphans the
-    /// cached fusion below.
-    epoch: u64,
-    cache: Option<CachedFusion>,
-}
-
-/// Per-object bookkeeping in one of two layouts, selected by
-/// [`ServiceTuning::compact_state`] (`DESIGN.md` §14).
+/// The mutable, per-object slice of service state. Objects hash to one
+/// shard; everything an ingest or query touches for that object lives
+/// here, behind one lock that is independent of every other shard.
 ///
-/// `Compact` is the city-scale layout: object ids are interned to dense
-/// `u32` handles once, and everything per-object lives in slot-indexed
-/// vectors (struct-of-arrays) — a `u64` epoch, a boxed fusion-cache
-/// entry only while one is live, a boxed last-known-good fix only when
-/// supervised. The only string-keyed lookup left on the hot path is the
-/// interner's own read-locked hash probe. `Legacy` keeps the historical
-/// three `HashMap<MobileObjectId, _>`s as the differential twin.
+/// Per-object bookkeeping is a struct-of-arrays slab (`DESIGN.md` §14):
+/// object ids are interned to dense `u32` handles once, and each object
+/// owns one slot in the vectors below — a `u64` epoch, a boxed
+/// fusion-cache entry only while one is live, a boxed last-known-good
+/// fix only when supervised. The only string-keyed lookup left on the
+/// hot path is the interner's own read-locked hash probe.
 #[derive(Debug)]
-enum ObjectStore {
-    Legacy {
-        /// Last successful fix per object, serving the last-known-good
-        /// rung of the degradation ladder. Only populated when
-        /// supervised.
-        last_good: HashMap<MobileObjectId, LocationFix>,
-        /// Privacy policy: object → maximum GLOB depth revealed (§4.5).
-        privacy: HashMap<MobileObjectId, usize>,
-        objects: HashMap<MobileObjectId, ObjectState>,
-    },
-    Compact {
-        idents: Arc<crate::ident::Interner>,
-        /// Identity handle → slot in the vectors below. Slots are
-        /// allocated first-touch and never freed, mirroring the legacy
-        /// maps (which never forget an object either).
-        index: HashMap<u32, u32>,
-        /// Slot-indexed epochs ([`ObjectState::epoch`]).
-        epochs: Vec<u64>,
-        /// Slot-indexed fusion-cache entries; boxed so an idle slot
-        /// costs one pointer.
-        caches: Vec<Option<Box<CachedFusion>>>,
-        /// Slot-indexed last-known-good fixes; boxed like the caches.
-        last_good: Vec<Option<Box<LocationFix>>>,
-        /// Privacy depths, sparse: most objects never set one (§4.5).
-        privacy: HashMap<u32, usize>,
-    },
+struct ShardState {
+    /// This shard's rows of the §5.2 sensor-reading table.
+    readings: SensorReadingTable,
+    /// Bumped once per op batch that mutates `readings`; a shard's
+    /// [`Occupancy`] is current exactly while its tag equals this.
+    readings_version: u64,
+    idents: Arc<crate::ident::Interner>,
+    /// Identity handle → slot in the vectors below. Slots are allocated
+    /// first-touch and never freed.
+    index: HashMap<u32, u32>,
+    /// Slot-indexed reading-set epochs: bumped on every ingest and
+    /// revocation that touches the object. A bump orphans the cached
+    /// fusion.
+    epochs: Vec<u64>,
+    /// Slot-indexed fusion-cache entries; boxed so an idle slot costs
+    /// one pointer.
+    caches: Vec<Option<Box<CachedFusion>>>,
+    /// Slot-indexed last-known-good fixes; boxed like the caches.
+    last_good: Vec<Option<Box<LocationFix>>>,
+    /// Privacy depths, sparse: most objects never set one (§4.5).
+    privacy: HashMap<u32, usize>,
 }
 
-impl ObjectStore {
-    fn legacy() -> Self {
-        ObjectStore::Legacy {
-            last_good: HashMap::new(),
-            privacy: HashMap::new(),
-            objects: HashMap::new(),
-        }
-    }
-
-    fn compact(idents: Arc<crate::ident::Interner>) -> Self {
-        ObjectStore::Compact {
+impl ShardState {
+    fn new(idents: Arc<crate::ident::Interner>) -> Self {
+        ShardState {
+            readings: SensorReadingTable::new(),
+            readings_version: 0,
             idents,
             index: HashMap::new(),
             epochs: Vec::new(),
@@ -192,72 +160,37 @@ impl ObjectStore {
     }
 
     /// The object's slot, if it has one already.
-    fn slot(
-        index: &HashMap<u32, u32>,
-        idents: &crate::ident::Interner,
-        object: &MobileObjectId,
-    ) -> Option<usize> {
-        let handle = idents.get(object.as_str())?;
-        index.get(&handle).map(|&s| s as usize)
+    fn slot(&self, object: &MobileObjectId) -> Option<usize> {
+        let handle = self.idents.get(object.as_str())?;
+        self.index.get(&handle).map(|&s| s as usize)
     }
 
     /// The object's slot, allocating handle and slot on first touch.
     fn ensure_slot(&mut self, object: &MobileObjectId) -> usize {
-        match self {
-            ObjectStore::Legacy { .. } => unreachable!("ensure_slot is compact-only"),
-            ObjectStore::Compact {
-                idents,
-                index,
-                epochs,
-                caches,
-                last_good,
-                ..
-            } => {
-                let handle = idents.intern(object.as_str());
-                if let Some(&slot) = index.get(&handle) {
-                    return slot as usize;
-                }
-                let slot = epochs.len();
-                epochs.push(0);
-                caches.push(None);
-                last_good.push(None);
-                index.insert(handle, u32::try_from(slot).expect("shard slot overflow"));
-                slot
-            }
+        let handle = self.idents.intern(object.as_str());
+        if let Some(&slot) = self.index.get(&handle) {
+            return slot as usize;
         }
+        let slot = self.epochs.len();
+        self.epochs.push(0);
+        self.caches.push(None);
+        self.last_good.push(None);
+        self.index
+            .insert(handle, u32::try_from(slot).expect("shard slot overflow"));
+        slot
     }
 
     /// Bumps the object's epoch (new evidence or revocation), dropping
     /// any cached fusion. Returns `true` when a cache entry was dropped.
     fn bump_epoch(&mut self, object: &MobileObjectId) -> bool {
-        match self {
-            ObjectStore::Legacy { objects, .. } => {
-                let state = objects.entry(object.clone()).or_default();
-                state.epoch = state.epoch.wrapping_add(1);
-                state.cache.take().is_some()
-            }
-            ObjectStore::Compact { .. } => {
-                let slot = self.ensure_slot(object);
-                let ObjectStore::Compact { epochs, caches, .. } = self else {
-                    unreachable!()
-                };
-                epochs[slot] = epochs[slot].wrapping_add(1);
-                caches[slot].take().is_some()
-            }
-        }
+        let slot = self.ensure_slot(object);
+        self.epochs[slot] = self.epochs[slot].wrapping_add(1);
+        self.caches[slot].take().is_some()
     }
 
     /// The object's reading-set epoch (0 if never seen).
     fn epoch_of(&self, object: &MobileObjectId) -> u64 {
-        match self {
-            ObjectStore::Legacy { objects, .. } => objects.get(object).map_or(0, |s| s.epoch),
-            ObjectStore::Compact {
-                idents,
-                index,
-                epochs,
-                ..
-            } => Self::slot(index, idents, object).map_or(0, |s| epochs[s]),
-        }
+        self.slot(object).map_or(0, |s| self.epochs[s])
     }
 
     /// A valid cached fusion for `(object, now, excluded_key)`, checked
@@ -268,136 +201,12 @@ impl ObjectStore {
         now: SimTime,
         excluded_key: u64,
     ) -> Option<(Arc<FusionResult>, usize, usize)> {
-        let (epoch, cached) = match self {
-            ObjectStore::Legacy { objects, .. } => {
-                let state = objects.get(object)?;
-                (state.epoch, state.cache.as_ref()?)
-            }
-            ObjectStore::Compact {
-                idents,
-                index,
-                epochs,
-                caches,
-                ..
-            } => {
-                let slot = Self::slot(index, idents, object)?;
-                (epochs[slot], caches[slot].as_deref()?)
-            }
-        };
-        (cached.epoch == epoch && cached.now == now && cached.excluded_key == excluded_key)
+        let slot = self.slot(object)?;
+        let cached = self.caches[slot].as_deref()?;
+        (cached.epoch == self.epochs[slot]
+            && cached.now == now
+            && cached.excluded_key == excluded_key)
             .then(|| (Arc::clone(&cached.result), cached.total, cached.used))
-    }
-
-    /// Stores a fusion result — only if no ingest raced past the epoch
-    /// it was computed under.
-    fn store_cache(&mut self, object: &MobileObjectId, entry: CachedFusion) {
-        match self {
-            ObjectStore::Legacy { objects, .. } => {
-                let state = objects.entry(object.clone()).or_default();
-                if state.epoch == entry.epoch {
-                    state.cache = Some(entry);
-                }
-            }
-            ObjectStore::Compact { .. } => {
-                let slot = self.ensure_slot(object);
-                let ObjectStore::Compact { epochs, caches, .. } = self else {
-                    unreachable!()
-                };
-                if epochs[slot] == entry.epoch {
-                    caches[slot] = Some(Box::new(entry));
-                }
-            }
-        }
-    }
-
-    fn privacy_of(&self, object: &MobileObjectId) -> Option<usize> {
-        match self {
-            ObjectStore::Legacy { privacy, .. } => privacy.get(object).copied(),
-            ObjectStore::Compact {
-                idents, privacy, ..
-            } => {
-                let handle = idents.get(object.as_str())?;
-                privacy.get(&handle).copied()
-            }
-        }
-    }
-
-    fn set_privacy(&mut self, object: MobileObjectId, max_depth: usize) {
-        match self {
-            ObjectStore::Legacy { privacy, .. } => {
-                privacy.insert(object, max_depth);
-            }
-            ObjectStore::Compact {
-                idents, privacy, ..
-            } => {
-                privacy.insert(idents.intern(object.as_str()), max_depth);
-            }
-        }
-    }
-
-    fn clear_privacy(&mut self, object: &MobileObjectId) {
-        match self {
-            ObjectStore::Legacy { privacy, .. } => {
-                privacy.remove(object);
-            }
-            ObjectStore::Compact {
-                idents, privacy, ..
-            } => {
-                if let Some(handle) = idents.get(object.as_str()) {
-                    privacy.remove(&handle);
-                }
-            }
-        }
-    }
-
-    fn last_good_of(&self, object: &MobileObjectId) -> Option<LocationFix> {
-        match self {
-            ObjectStore::Legacy { last_good, .. } => last_good.get(object).cloned(),
-            ObjectStore::Compact {
-                idents,
-                index,
-                last_good,
-                ..
-            } => {
-                let slot = Self::slot(index, idents, object)?;
-                last_good[slot].as_deref().cloned()
-            }
-        }
-    }
-
-    fn record_last_good(&mut self, object: &MobileObjectId, fix: LocationFix) {
-        match self {
-            ObjectStore::Legacy { last_good, .. } => {
-                last_good.insert(object.clone(), fix);
-            }
-            ObjectStore::Compact { .. } => {
-                let slot = self.ensure_slot(object);
-                let ObjectStore::Compact { last_good, .. } = self else {
-                    unreachable!()
-                };
-                last_good[slot] = Some(Box::new(fix));
-            }
-        }
-    }
-
-    /// All last-known-good fixes (unordered; callers sort).
-    fn export_last_good(&self) -> Vec<LocationFix> {
-        match self {
-            ObjectStore::Legacy { last_good, .. } => last_good.values().cloned().collect(),
-            ObjectStore::Compact { last_good, .. } => last_good
-                .iter()
-                .filter_map(|f| f.as_deref().cloned())
-                .collect(),
-        }
-    }
-
-    /// Objects with any per-object state (the `core.objects.tracked`
-    /// gauge input; O(1) in the compact layout's slot count).
-    fn state_len(&self) -> usize {
-        match self {
-            ObjectStore::Legacy { objects, .. } => objects.len(),
-            ObjectStore::Compact { epochs, .. } => epochs.len(),
-        }
     }
 
     /// Structural heap estimate of the per-object bookkeeping, feeding
@@ -408,62 +217,11 @@ impl ObjectStore {
     /// accounted separately by the caller.
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        match self {
-            ObjectStore::Legacy {
-                last_good,
-                privacy,
-                objects,
-            } => {
-                objects.capacity()
-                    * (size_of::<MobileObjectId>() + size_of::<ObjectState>() + size_of::<u64>())
-                    + privacy.capacity()
-                        * (size_of::<MobileObjectId>() + size_of::<usize>() + size_of::<u64>())
-                    + last_good.capacity()
-                        * (size_of::<MobileObjectId>()
-                            + size_of::<LocationFix>()
-                            + size_of::<u64>())
-            }
-            ObjectStore::Compact {
-                index,
-                epochs,
-                caches,
-                last_good,
-                privacy,
-                ..
-            } => {
-                index.capacity() * (size_of::<u32>() * 2 + 1)
-                    + epochs.capacity() * size_of::<u64>()
-                    + caches.capacity() * size_of::<Option<Box<CachedFusion>>>()
-                    + last_good.capacity() * size_of::<Option<Box<LocationFix>>>()
-                    + privacy.capacity() * (size_of::<u32>() + size_of::<usize>() + 1)
-            }
-        }
-    }
-}
-
-/// The mutable, per-object slice of service state. Objects hash to one
-/// shard; everything an ingest or query touches for that object lives
-/// here, behind one lock that is independent of every other shard.
-#[derive(Debug)]
-struct ShardState {
-    /// Shard-local reading storage (a [`SpatialDatabase`] whose static
-    /// tables stay empty so the `db.*` reading metrics keep aggregating
-    /// across shards by name).
-    db: SpatialDatabase,
-    /// Per-object bookkeeping: epochs, fusion cache, privacy,
-    /// last-known-good — in the compact or legacy layout.
-    store: ObjectStore,
-    /// Bumped once per op batch that mutates `db`'s reading table; a
-    /// shard's [`Occupancy`] is current exactly while its tag equals
-    /// this.
-    readings_version: u64,
-}
-
-impl ShardState {
-    /// Bumps the object's epoch (new evidence or revocation), dropping
-    /// any cached fusion. Returns `true` when a cache entry was dropped.
-    fn bump_epoch(&mut self, object: &MobileObjectId) -> bool {
-        self.store.bump_epoch(object)
+        self.index.capacity() * (size_of::<u32>() * 2 + 1)
+            + self.epochs.capacity() * size_of::<u64>()
+            + self.caches.capacity() * size_of::<Option<Box<CachedFusion>>>()
+            + self.last_good.capacity() * size_of::<Option<Box<LocationFix>>>()
+            + self.privacy.capacity() * (size_of::<u32>() + size_of::<usize>() + 1)
     }
 }
 
@@ -578,7 +336,7 @@ impl Shard {
             .is_none_or(|o| o.version != state.readings_version)
         {
             *slot = Some(Occupancy::build(
-                state.db.readings(),
+                &state.readings,
                 state.readings_version,
                 universe_area,
             ));
@@ -606,39 +364,46 @@ impl Shard {
 
     /// The object's reading-set epoch (0 if never seen).
     fn object_epoch(&self, object: &MobileObjectId) -> u64 {
-        self.read().store.epoch_of(object)
+        self.read().epoch_of(object)
     }
 
     /// Objects with any per-object state in this shard (tracked-objects
-    /// gauge input; cheap, no reading-table scan).
+    /// gauge input; O(1) in the slot count, no reading-table scan).
     fn state_len(&self) -> usize {
-        self.read().store.state_len()
+        self.read().epochs.len()
     }
 
     /// Structural heap estimate of this shard's per-object bookkeeping.
     fn state_heap_bytes(&self) -> usize {
-        self.read().store.heap_bytes()
+        self.read().heap_bytes()
     }
 
     fn reading_count(&self) -> usize {
-        self.read().db.readings().len()
+        self.read().readings.len()
     }
 
     fn tracked_objects(&self, now: SimTime) -> Vec<MobileObjectId> {
-        self.read().db.readings().tracked_objects(now)
+        self.read().readings.tracked_objects(now)
     }
 
     /// The object's privacy depth limit, if any (§4.5).
     fn privacy_of(&self, object: &MobileObjectId) -> Option<usize> {
-        self.read().store.privacy_of(object)
+        let state = self.read();
+        let handle = state.idents.get(object.as_str())?;
+        state.privacy.get(&handle).copied()
     }
 
-    fn set_privacy(&self, object: MobileObjectId, max_depth: usize) {
-        self.write().store.set_privacy(object, max_depth);
+    fn set_privacy(&self, object: &MobileObjectId, max_depth: usize) {
+        let mut state = self.write();
+        let handle = state.idents.intern(object.as_str());
+        state.privacy.insert(handle, max_depth);
     }
 
     fn clear_privacy(&self, object: &MobileObjectId) {
-        self.write().store.clear_privacy(object);
+        let mut state = self.write();
+        if let Some(handle) = state.idents.get(object.as_str()) {
+            state.privacy.remove(&handle);
+        }
     }
 
     /// Looks up a valid cached fusion for `(object, now, excluded)`.
@@ -648,58 +413,62 @@ impl Shard {
         now: SimTime,
         excluded_key: u64,
     ) -> Option<(Arc<FusionResult>, usize, usize)> {
-        self.read().store.cached(object, now, excluded_key)
+        self.read().cached(object, now, excluded_key)
     }
 
     /// Copies the object's live readings (and the epoch they were read
     /// under) out of the shard, so fusion runs outside any lock.
     fn live_readings(&self, object: &MobileObjectId, now: SimTime) -> (Vec<SensorReading>, u64) {
-        let guard = self.read();
-        let readings = guard.db.live_readings_for(object, now);
-        let epoch = guard.store.epoch_of(object);
-        (readings, epoch)
+        let state = self.read();
+        (
+            state.readings.live_readings_for(object, now),
+            state.epoch_of(object),
+        )
     }
 
     /// Stores a fusion result in the cache — only if no ingest raced
     /// past the epoch it was computed under (a stale entry would be a
     /// correctness bug, a skipped store merely a future miss).
     fn store_fusion(&self, object: &MobileObjectId, entry: CachedFusion) {
-        self.write().store.store_cache(object, entry);
+        let mut state = self.write();
+        let slot = state.ensure_slot(object);
+        if state.epochs[slot] == entry.epoch {
+            state.caches[slot] = Some(Box::new(entry));
+        }
     }
 
     fn last_good(&self, object: &MobileObjectId) -> Option<LocationFix> {
-        self.read().store.last_good_of(object)
+        let state = self.read();
+        let slot = state.slot(object)?;
+        state.last_good[slot].as_deref().cloned()
     }
 
     fn record_last_good(&self, object: &MobileObjectId, fix: LocationFix) {
-        self.write().store.record_last_good(object, fix);
+        let mut state = self.write();
+        let slot = state.ensure_slot(object);
+        state.last_good[slot] = Some(Box::new(fix));
     }
 
     /// Applies one ingest batch's op queue for this shard, in order;
     /// returns how many cached fusions were invalidated.
-    fn apply_ops(&self, ops: Vec<ShardOp>, now: SimTime) -> u64 {
+    fn apply_ops(&self, ops: Vec<ShardOp>) -> u64 {
         let mut invalidated = 0u64;
         let mut state = self.write();
         state.readings_version += 1;
         for op in ops {
-            match op {
+            let object = match op {
                 ShardOp::Revoke(sensor, object) => {
-                    state.db.revoke_readings(&sensor, &object);
-                    if state.bump_epoch(&object) {
-                        invalidated += 1;
-                    }
+                    state.readings.revoke(&sensor, &object);
+                    object
                 }
                 ShardOp::Insert(reading) => {
                     let object = reading.object.clone();
-                    // Database-level trigger events are superseded by
-                    // the probability-filtered subscription pass; the
-                    // raw events remain available to database-level
-                    // users.
-                    let _ = state.db.insert_reading(reading, now);
-                    if state.bump_epoch(&object) {
-                        invalidated += 1;
-                    }
+                    state.readings.insert(reading);
+                    object
                 }
+            };
+            if state.bump_epoch(&object) {
+                invalidated += 1;
             }
         }
         invalidated
@@ -710,18 +479,22 @@ impl Shard {
     fn export_state(&self, now: SimTime) -> (Vec<SensorReading>, Vec<LocationFix>) {
         let state = self.read();
         (
-            state.db.readings().live_readings(now).cloned().collect(),
-            state.store.export_last_good(),
+            state.readings.live_readings(now).cloned().collect(),
+            state
+                .last_good
+                .iter()
+                .filter_map(|f| f.as_deref().cloned())
+                .collect(),
         )
     }
 
-    /// Bulk seed-reading migration at construction (no triggers, no
-    /// epoch bumps).
+    /// Bulk seed-reading migration at construction (no epoch bumps;
+    /// uncounted, since construction binds metrics after it).
     fn seed_readings(&self, readings: Vec<SensorReading>) {
         let mut state = self.write();
         state.readings_version += 1;
         for reading in readings {
-            state.db.readings_mut().insert(reading);
+            state.readings.insert(reading);
         }
     }
 }
@@ -1164,32 +937,16 @@ impl LocationService {
         // ids interned at the ingest boundary, handles keying the
         // compact shard slabs and the rule engine's edge state.
         let idents = Arc::new(crate::ident::Interner::new());
-        // Shard-local reading databases; bound to the registry first so
-        // the statics database's object gauge wins the final write.
-        let shards: Box<[Shard]> = (0..tuning.shards)
-            .map(|_| {
-                let store = if tuning.compact_state {
-                    ObjectStore::compact(Arc::clone(&idents))
-                } else {
-                    ObjectStore::legacy()
-                };
-                let mut db = SpatialDatabase::new();
-                if let Some(registry) = registry {
-                    db.bind_metrics(registry);
-                }
-                Shard {
-                    state: RwLock::new(ShardState {
-                        db,
-                        store,
-                        readings_version: 0,
-                    }),
-                    occupancy: Mutex::new(None),
-                    contention: registry.map(|r| r.counter("core.shard.contention")),
-                }
+        let mut shards: Box<[Shard]> = (0..tuning.shards)
+            .map(|_| Shard {
+                state: RwLock::new(ShardState::new(Arc::clone(&idents))),
+                occupancy: Mutex::new(None),
+                contention: registry.map(|r| r.counter("core.shard.contention")),
             })
             .collect();
         // Any readings pre-loaded into the seed database migrate to
-        // their objects' shards.
+        // their objects' shards before metrics are bound, so seeds are
+        // not counted as ingested.
         let mut seeds: HashMap<usize, Vec<SensorReading>> = HashMap::new();
         for reading in db.readings_mut().drain() {
             let idx = shard_of(&reading.object, tuning.shards);
@@ -1199,6 +956,9 @@ impl LocationService {
             shards[idx].seed_readings(readings);
         }
         if let Some(registry) = registry {
+            for shard in &mut shards {
+                shard.state.get_mut().readings.bind_metrics(registry);
+            }
             db.bind_metrics(registry);
             engine.bind_metrics(registry);
         }
@@ -1471,7 +1231,7 @@ impl LocationService {
     /// node already admitted them — and last-known-good fixes seed the
     /// degradation ladder's LKG rung. Returns how many readings were
     /// imported.
-    pub fn import_partition_state(&self, state: PartitionState, now: SimTime) -> usize {
+    pub fn import_partition_state(&self, state: PartitionState, _now: SimTime) -> usize {
         let imported = state.readings.len();
         let mut ops: HashMap<usize, Vec<ShardOp>> = HashMap::new();
         for reading in state.readings {
@@ -1479,7 +1239,7 @@ impl LocationService {
                 .or_default()
                 .push(ShardOp::Insert(reading));
         }
-        self.apply_ops(ops, now);
+        self.apply_ops(ops);
         for fix in state.last_good {
             self.import_last_good(fix);
         }
@@ -1621,7 +1381,7 @@ impl LocationService {
                 statics.upsert_sensor_meta(row);
             }
         }
-        let invalidated = self.apply_ops(ops, now);
+        let invalidated = self.apply_ops(ops);
         if let Some(supervisor) = &self.supervisor {
             supervisor
                 .lock()
@@ -1663,9 +1423,9 @@ impl LocationService {
     /// Applies the batch's per-shard op queues, each under its shard's
     /// write lock (order is preserved *within* each shard's queue).
     /// Returns the number of cache entries invalidated.
-    fn apply_ops(&self, ops: HashMap<usize, Vec<ShardOp>>, now: SimTime) -> u64 {
+    fn apply_ops(&self, ops: HashMap<usize, Vec<ShardOp>>) -> u64 {
         ops.into_iter()
-            .map(|(index, shard_ops)| self.shards[index].apply_ops(shard_ops, now))
+            .map(|(index, shard_ops)| self.shards[index].apply_ops(shard_ops))
             .sum()
     }
 
@@ -2461,7 +2221,7 @@ impl LocationService {
     /// truncated to `max_depth` segments and coordinates coarsened to the
     /// revealed region (§4.5).
     pub fn set_privacy(&self, object: MobileObjectId, max_depth: usize) {
-        self.shard(&object).set_privacy(object, max_depth);
+        self.shard(&object).set_privacy(&object, max_depth);
     }
 
     /// Removes `object`'s privacy constraint.
@@ -2923,12 +2683,12 @@ mod tests {
     fn core_metrics_populate_through_the_pipeline() {
         let broker = Broker::new();
         let registry = MetricsRegistry::new();
-        let svc = LocationService::new_with_obs(
-            sample_db(),
-            rect(0.0, 0.0, 500.0, 100.0),
-            &broker,
-            &registry,
-        );
+        let mut db = sample_db();
+        // A seeded reading is migrated into a shard, never counted.
+        db.readings_mut()
+            .insert(reading("bob", rect(319.0, 9.0, 321.0, 11.0), 0.0));
+        let svc =
+            LocationService::new_with_obs(db, rect(0.0, 0.0, 500.0, 100.0), &broker, &registry);
         assert!(svc.metrics_registry().is_some());
         let room = rect(330.0, 0.0, 350.0, 30.0);
         let id = svc.subscribe(SubscriptionSpec::region_entry(room, 0.5));
@@ -2964,9 +2724,28 @@ mod tests {
         assert!(snap.counter("rules.eval.atoms").unwrap_or(0) >= 1);
         assert!(snap.histogram("rules.eval.latency_us").unwrap().count >= 1);
         // The shared registry also carries the bound db.* and fusion.*
-        // layers.
+        // layers: one fresh read for the ingest's rule pass, one for the
+        // query at a new instant; the statics hold the four objects.
         assert_eq!(snap.counter("db.readings_inserted"), Some(1));
+        assert_eq!(snap.counter("db.live_queries"), Some(2));
+        assert_eq!(snap.counter("db.triggers_fired"), Some(0));
+        assert_eq!(snap.gauge("db.objects"), Some(4.0));
         assert!(snap.counter("fusion.fuse.count").unwrap_or(0) >= 1);
+        // Revoking the seed counts one row; its rule pass reads bob once.
+        svc.ingest(
+            AdapterOutput {
+                readings: vec![],
+                revocations: vec![mw_sensors::Revocation {
+                    sensor_id: "Ubi-18".into(),
+                    object: "bob".into(),
+                }],
+            },
+            now,
+        );
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("db.readings_revoked"), Some(1));
+        assert_eq!(snap.counter("db.live_queries"), Some(3));
+        assert_eq!(snap.counter("db.readings_inserted"), Some(1));
         svc.unsubscribe(id).unwrap();
         assert_eq!(
             registry.snapshot().gauge("core.subscriptions.active"),
@@ -3683,7 +3462,6 @@ mod tests {
         assert!(svc
             .shard(&"alice".into())
             .read()
-            .store
             .cached(&"alice".into(), SimTime::from_secs(2.0), 0)
             .is_some());
         assert_eq!(svc.object_epoch(&"alice".into()), epoch);

@@ -1,28 +1,35 @@
-//! Property: the interned, compact per-object state path
-//! (`ServiceTuning::compact_state`, `DESIGN.md` §14) is observationally
-//! identical to the legacy string-keyed hash-map path.
+//! Property: the service's per-object state — the interned slab over
+//! each shard's reading table, the fusion cache, privacy and
+//! last-known-good (`DESIGN.md` §14) — answers exactly like the
+//! string-keyed public-API model in `reference/`.
 //!
-//! The compact path re-keys every per-object structure by dense `u32`
-//! interner handles (epochs and cached fusions in slabs, rule-engine
-//! group state by handle, candidate selection through the interest
-//! grid). None of that may be visible: for every random interleaving of
-//! ingests, revocations and queries under a live rule load-out, the twin
-//! running the legacy store must produce byte-identical notification
-//! streams, identical per-object epochs, and exactly equal query and
-//! locate answers.
+//! Service and model run in lockstep. For every random interleaving of
+//! ingests, revocations, privacy changes and queries under a live rule
+//! load-out, they must agree exactly on `query` probability, band and
+//! quality (each query asked twice, so the cache-hit path is compared
+//! too), `locate` fixes, per-object epochs, `reading_count` and
+//! `tracked_objects`.
+
+mod reference;
 
 use std::sync::Arc;
 
 use mw_bus::Broker;
-use mw_core::{LocationQuery, LocationService, Predicate, Rule, ServiceTuning};
+use mw_core::{AnswerQuality, LocationFix, LocationQuery, LocationService, Predicate, Rule};
 use mw_geometry::{Point, Polygon, Rect};
 use mw_model::{SimDuration, SimTime, TemporalDegradation};
-use mw_sensors::{AdapterOutput, Revocation, SensorReading, SensorSpec};
+use mw_obs::MetricsRegistry;
+use mw_sensors::{
+    AdapterOutput, HealthConfig, Revocation, SensorReading, SensorSpec, SensorSupervisor,
+};
 use mw_spatial_db::{Geometry, ObjectType, SpatialDatabase, SpatialObject};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use reference::{Answer, Reference};
 
 const OBJECTS: &[&str] = &["alice", "bob", "carol", "dave"];
+/// Not in sorted order: the live set's sensor order differs from the
+/// order readings arrive in.
 const SENSORS: &[&str] = &["Ubi-1", "Ubi-2", "RF-1"];
 
 fn universe() -> Rect {
@@ -71,11 +78,19 @@ enum Op {
         object: usize,
         rect: Rect,
     },
+    Locate {
+        object: usize,
+    },
+    /// `Some(depth)` sets a privacy depth, `None` clears it.
+    Privacy {
+        object: usize,
+        depth: Option<usize>,
+    },
 }
 
 fn op() -> impl Strategy<Value = Op> {
     (
-        0..8usize,
+        0..11usize,
         0..SENSORS.len(),
         0..OBJECTS.len(),
         (2.0..448.0f64, 2.0..58.0f64),
@@ -89,13 +104,21 @@ fn op() -> impl Strategy<Value = Op> {
                 ttl_secs: if kind % 2 == 0 { 1e6 } else { 5.0 },
             },
             5 => Op::Revoke { sensor, object },
-            _ => Op::Query {
+            6 | 7 => Op::Query {
                 object,
                 rect: Rect::new(Point::new(x, y), Point::new(x + w, y + h)),
+            },
+            8 => Op::Locate { object },
+            _ => Op::Privacy {
+                object,
+                depth: (kind == 9).then_some(1 + sensor),
             },
         })
 }
 
+/// Every sensor shares one spec and one 2 × 2 ft rect size, so any two
+/// disjoint readings of an object tie under conflict rule 2 and the
+/// kept one depends on the live set's order.
 fn reading(sensor: usize, object: usize, center: Point, at: SimTime, ttl: f64) -> SensorReading {
     SensorReading {
         sensor_id: SENSORS[sensor].into(),
@@ -110,10 +133,21 @@ fn reading(sensor: usize, object: usize, center: Point, at: SimTime, ttl: f64) -
     }
 }
 
-/// The rule load-out both twins carry, registered in a fixed order so
-/// subscription ids line up: one region rule per room (the interest-grid
-/// path), a per-object rule for every object (the handle-scoped group
-/// path), and one co-located pair (the partner-state path).
+fn revocation(sensor: usize, object: usize) -> AdapterOutput {
+    AdapterOutput {
+        readings: vec![],
+        revocations: vec![Revocation {
+            sensor_id: SENSORS[sensor].into(),
+            object: OBJECTS[object].into(),
+        }],
+    }
+}
+
+/// The rule load-out the service carries: one region rule per room (the
+/// interest-grid path), a per-object rule for every object (the
+/// handle-scoped group path), and one co-located pair (the
+/// partner-state path). Rule evaluation fuses on every ingest, so the
+/// fusion cache is warm when queries arrive.
 fn register_rules(service: &LocationService) {
     for i in 0..10 {
         let x0 = i as f64 * 50.0;
@@ -142,24 +176,57 @@ fn register_rules(service: &LocationService) {
     );
 }
 
-fn build(compact: bool) -> Arc<LocationService> {
+fn build() -> (Arc<LocationService>, Reference) {
     let broker = Broker::new();
-    let service = LocationService::new_with_tuning(
-        floor_db(),
-        universe(),
-        &broker,
-        ServiceTuning {
-            compact_state: compact,
-            ..ServiceTuning::default()
-        },
-    );
+    let service = LocationService::new(floor_db(), universe(), &broker);
     register_rules(&service);
-    service
+    (service, Reference::new(&floor_db(), universe()))
 }
 
-fn assert_twins_agree(
-    compact: &LocationService,
-    legacy: &LocationService,
+fn query_rect(service: &LocationService, object: &str, rect: Rect, now: SimTime) -> Answer {
+    Answer::of(service.query(LocationQuery::of(object).in_rect(rect).at(now)))
+}
+
+fn locate(service: &LocationService, object: &str, now: SimTime) -> Answer {
+    Answer::of(service.query(LocationQuery::of(object).at(now)))
+}
+
+/// Bookkeeping both sides must share after every step.
+fn assert_state_agrees(
+    service: &LocationService,
+    model: &Reference,
+    now: SimTime,
+    step: usize,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        service.reading_count(),
+        model.reading_count(),
+        "reading_count at step {}",
+        step
+    );
+    let mut tracked = service.tracked_objects(now);
+    tracked.sort();
+    prop_assert_eq!(
+        tracked,
+        model.tracked_objects(now),
+        "tracked_objects at step {}",
+        step
+    );
+    for object in OBJECTS {
+        prop_assert_eq!(
+            service.object_epoch(&(*object).into()),
+            model.epoch(object),
+            "epoch of {} at step {}",
+            object,
+            step
+        );
+    }
+    Ok(())
+}
+
+fn run_schedule(
+    service: &LocationService,
+    model: &mut Reference,
     ops: &[Op],
 ) -> Result<(), TestCaseError> {
     for (step, op) in ops.iter().enumerate() {
@@ -172,87 +239,74 @@ fn assert_twins_agree(
                 ttl_secs,
             } => {
                 let out = AdapterOutput::single(reading(sensor, object, center, now, ttl_secs));
-                let a = compact.ingest(out.clone(), now);
-                let b = legacy.ingest(out, now);
-                prop_assert_eq!(a, b, "notifications diverged at step {}", step);
+                model.ingest(&out);
+                service.ingest(out, now);
             }
             Op::Revoke { sensor, object } => {
-                let out = AdapterOutput {
-                    readings: vec![],
-                    revocations: vec![Revocation {
-                        sensor_id: SENSORS[sensor].into(),
-                        object: OBJECTS[object].into(),
-                    }],
-                };
-                let a = compact.ingest(out.clone(), now);
-                let b = legacy.ingest(out, now);
-                prop_assert_eq!(a, b, "revocation notifications diverged at step {}", step);
+                let out = revocation(sensor, object);
+                model.ingest(&out);
+                service.ingest(out, now);
             }
             Op::Query { object, rect } => {
-                // Twice: the second ask is the cache-hit path on both.
-                for _ in 0..2 {
-                    let q = || LocationQuery::of(OBJECTS[object]).in_rect(rect).at(now);
-                    match (compact.query(q()), legacy.query(q())) {
-                        (Ok(a), Ok(b)) => {
-                            prop_assert_eq!(
-                                a.probability(),
-                                b.probability(),
-                                "probability diverged at step {}",
-                                step
-                            );
-                            prop_assert_eq!(a.band(), b.band(), "band diverged at step {}", step);
-                            prop_assert_eq!(
-                                a.quality(),
-                                b.quality(),
-                                "quality diverged at step {}",
-                                step
-                            );
-                        }
-                        (Err(_), Err(_)) => {}
-                        (a, b) => {
-                            prop_assert!(false, "one twin errored at step {step}: {a:?} vs {b:?}")
-                        }
+                let expected = model.query_rect(OBJECTS[object], rect, now);
+                // Twice: the second ask is the cache-hit path.
+                for ask in 0..2 {
+                    prop_assert_eq!(
+                        &query_rect(service, OBJECTS[object], rect, now),
+                        &expected,
+                        "query at step {} (ask {})",
+                        step,
+                        ask
+                    );
+                }
+            }
+            Op::Locate { object } => {
+                let expected = model.locate(OBJECTS[object], now);
+                prop_assert_eq!(
+                    &locate(service, OBJECTS[object], now),
+                    &expected,
+                    "locate at step {}",
+                    step
+                );
+            }
+            Op::Privacy { object, depth } => {
+                let id = OBJECTS[object];
+                match depth {
+                    Some(depth) => {
+                        model.set_privacy(id, depth);
+                        service.set_privacy(id.into(), depth);
+                    }
+                    None => {
+                        model.clear_privacy(id);
+                        service.clear_privacy(&id.into());
                     }
                 }
             }
         }
-        prop_assert_eq!(compact.reading_count(), legacy.reading_count());
-        for object in OBJECTS {
-            prop_assert_eq!(
-                compact.object_epoch(&(*object).into()),
-                legacy.object_epoch(&(*object).into()),
-                "epoch diverged for {} at step {}",
-                object,
-                step
-            );
-        }
+        assert_state_agrees(service, model, now, step)?;
     }
     let end = SimTime::from_secs(ops.len() as f64);
     for object in OBJECTS {
-        let fa = compact.locate(&(*object).into(), end);
-        let fb = legacy.locate(&(*object).into(), end);
-        match (fa, fb) {
-            (Ok(fa), Ok(fb)) => {
-                prop_assert!(fa == fb, "locate diverged for {object}: {fa:?} vs {fb:?}")
-            }
-            (Err(_), Err(_)) => {}
-            (fa, fb) => prop_assert!(false, "locate diverged for {object}: {fa:?} vs {fb:?}"),
-        }
+        let expected = model.locate(object, end);
+        prop_assert_eq!(
+            &locate(service, object, end),
+            &expected,
+            "final locate of {}",
+            object
+        );
     }
-    prop_assert_eq!(compact.tracked_objects(end), legacy.tracked_objects(end));
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The compact interned store is observationally identical to the
-    /// legacy string-keyed store under a live rule load-out.
+    /// The service answers exactly like the string-keyed reference
+    /// under a live rule load-out.
     #[test]
-    fn compact_state_matches_legacy(ops in proptest::collection::vec(op(), 1..48)) {
-        let compact = build(true);
-        let legacy = build(false);
-        assert_twins_agree(&compact, &legacy, &ops)?;
+    fn service_matches_reference(ops in proptest::collection::vec(op(), 1..48)) {
+        let (service, mut model) = build();
+        run_schedule(&service, &mut model, &ops)?;
     }
 }
 
@@ -260,24 +314,140 @@ proptest! {
 /// room rule at least once — a directed complement to the random
 /// schedules, cheap enough to run first and pin obvious divergence.
 #[test]
-fn compact_state_matches_legacy_on_a_room_walk() {
-    let compact = build(true);
-    let legacy = build(false);
+fn service_matches_reference_on_a_room_walk() {
+    let (service, mut model) = build();
     let mut step = 0.0f64;
     for lap in 0..2 {
-        for (obj, _) in OBJECTS.iter().enumerate() {
+        for (obj, object) in OBJECTS.iter().enumerate() {
             for room in 0..10 {
                 step += 1.0;
                 let now = SimTime::from_secs(step);
                 let center = Point::new(room as f64 * 50.0 + 25.0, 50.0 + lap as f64);
                 let out =
                     AdapterOutput::single(reading(obj % SENSORS.len(), obj, center, now, 1e6));
-                let a = compact.ingest(out.clone(), now);
-                let b = legacy.ingest(out, now);
-                assert_eq!(a, b, "walk diverged at object {obj} room {room} lap {lap}");
+                model.ingest(&out);
+                service.ingest(out, now);
+                assert_eq!(
+                    locate(&service, object, now),
+                    model.locate(object, now),
+                    "walk diverged at object {obj} room {room} lap {lap}"
+                );
             }
         }
     }
     let end = SimTime::from_secs(step + 1.0);
-    assert_eq!(compact.tracked_objects(end), legacy.tracked_objects(end));
+    assert_state_agrees(&service, &model, end, 0).unwrap();
+}
+
+/// Conflict resolution breaks a probability tie by position, so the
+/// service must fuse the sensor-ordered live set whatever order its
+/// table rows are in. Two services reach the same live set for `alice`
+/// — two equal-`p`, equal-size, disjoint readings — by different
+/// histories; the second one's revoke-and-reinsert leaves its rows in
+/// the opposite order. Their answers must be bit-identical, and match
+/// the model.
+#[test]
+fn equal_probability_tie_break_ignores_row_order() {
+    let at = SimTime::ZERO;
+    let ubi = || reading(0, 0, Point::new(25.0, 50.0), at, 1e6);
+    let rf = || reading(2, 0, Point::new(225.0, 50.0), at, 1e6);
+    let histories = [
+        vec![AdapterOutput::single(ubi()), AdapterOutput::single(rf())],
+        vec![
+            AdapterOutput::single(ubi()),
+            AdapterOutput::single(rf()),
+            revocation(0, 0),
+            AdapterOutput::single(ubi()),
+        ],
+    ];
+    let now = SimTime::from_secs(1.0);
+    let rooms = [0.0, 200.0].map(|x0| Rect::new(Point::new(x0, 0.0), Point::new(x0 + 50.0, 100.0)));
+    let mut answers = Vec::new();
+    for history in histories {
+        let (service, mut model) = build();
+        for out in history {
+            model.ingest(&out);
+            service.ingest(out, at);
+        }
+        let mut seen = vec![locate(&service, "alice", now)];
+        seen.extend(rooms.map(|r| query_rect(&service, "alice", r, now)));
+        let mut expected = vec![model.locate("alice", now)];
+        expected.extend(rooms.map(|r| model.query_rect("alice", r, now)));
+        assert_eq!(seen, expected);
+        answers.push(seen);
+    }
+    assert_eq!(answers[0], answers[1]);
+}
+
+/// The supervised service: a fix it served becomes the last-known-good
+/// rung once the evidence is gone (revoked or expired), an imported fix
+/// seeds that rung for an object never seen, and the partition export
+/// is sorted by object then sensor.
+#[test]
+fn supervised_last_good_and_export_match_reference() {
+    let broker = Broker::new();
+    let registry = MetricsRegistry::new();
+    let supervisor = SensorSupervisor::new(HealthConfig::new(universe())).shared();
+    let service =
+        LocationService::new_supervised(floor_db(), universe(), &broker, &registry, supervisor);
+    register_rules(&service);
+    let mut model = Reference::new(&floor_db(), universe()).supervised();
+    let room = |i: f64| {
+        Rect::new(
+            Point::new(i * 50.0, 0.0),
+            Point::new(i * 50.0 + 50.0, 100.0),
+        )
+    };
+    let t = SimTime::from_secs;
+
+    // Readings land out of object and sensor order.
+    let seed = [
+        (1, 3, Point::new(375.0, 50.0), 5.0),
+        (0, 0, Point::new(125.0, 50.0), 1e6),
+        (2, 3, Point::new(376.0, 50.0), 1e6),
+        (0, 1, Point::new(225.0, 50.0), 1e6),
+    ];
+    for (sensor, object, center, ttl) in seed {
+        let out = AdapterOutput::single(reading(sensor, object, center, t(1.0), ttl));
+        model.ingest(&out);
+        service.ingest(out, t(1.0));
+    }
+    let fixes = |service: &LocationService, model: &mut Reference, now: SimTime| {
+        for object in OBJECTS {
+            assert_eq!(locate(service, object, now), model.locate(object, now));
+        }
+    };
+    fixes(&service, &mut model, t(2.0));
+    let imported = LocationFix {
+        object: "carol".into(),
+        ..match model.locate("alice", t(2.0)) {
+            Answer::Fix(fix, _) => fix,
+            other => panic!("alice is tracked: {other:?}"),
+        }
+    };
+    model.import_last_good(imported.clone());
+    service.import_last_good(imported);
+
+    // alice loses her only reading; dave's Ubi-2 row expires at t = 6.
+    let out = revocation(0, 0);
+    model.ingest(&out);
+    service.ingest(out, t(3.0));
+    let rung = |object: &str, now: SimTime| match locate(&service, object, now) {
+        Answer::Fix(_, quality) => Some(quality),
+        _ => None,
+    };
+    assert_eq!(rung("alice", t(4.0)), Some(AnswerQuality::LastKnownGood));
+    assert_eq!(rung("carol", t(4.0)), Some(AnswerQuality::LastKnownGood));
+    assert_eq!(rung("alice", t(700.0)), None, "older than lkg_max_age");
+    for now in [t(4.0), t(8.0), t(700.0)] {
+        fixes(&service, &mut model, now);
+        for object in OBJECTS {
+            for i in [2.0, 7.0] {
+                let expected = model.query_rect(object, room(i), now);
+                assert_eq!(query_rect(&service, object, room(i), now), expected);
+            }
+        }
+        assert_eq!(service.export_partition_state(now), model.export(now));
+        assert_state_agrees(&service, &model, now, 0).unwrap();
+    }
 }

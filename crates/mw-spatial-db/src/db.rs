@@ -36,30 +36,13 @@ pub struct SpatialDatabase {
     metrics: Option<DbMetrics>,
 }
 
-/// Metric handles updated by database operations, resolved once at
-/// [`SpatialDatabase::bind_metrics`] time (names under `db.*`, see
-/// `DESIGN.md` §8).
+/// Metric handles for the static side of the database, resolved once at
+/// [`SpatialDatabase::bind_metrics`] time; the reading counters live on
+/// the [`SensorReadingTable`] (names under `db.*`, see `DESIGN.md` §8).
 #[derive(Debug, Clone)]
 struct DbMetrics {
-    readings_inserted: mw_obs::Counter,
-    readings_revoked: mw_obs::Counter,
-    readings_pruned: mw_obs::Counter,
-    live_queries: mw_obs::Counter,
     triggers_fired: mw_obs::Counter,
     objects: mw_obs::Gauge,
-}
-
-impl DbMetrics {
-    fn new(registry: &mw_obs::MetricsRegistry) -> Self {
-        DbMetrics {
-            readings_inserted: registry.counter("db.readings_inserted"),
-            readings_revoked: registry.counter("db.readings_revoked"),
-            readings_pruned: registry.counter("db.readings_pruned"),
-            live_queries: registry.counter("db.live_queries"),
-            triggers_fired: registry.counter("db.triggers_fired"),
-            objects: registry.gauge("db.objects"),
-        }
-    }
 }
 
 impl SpatialDatabase {
@@ -73,7 +56,11 @@ impl SpatialDatabase {
     /// counters, live-reading query counts, trigger firings, object
     /// gauge) to `registry`. Unmeasured until called.
     pub fn bind_metrics(&mut self, registry: &mw_obs::MetricsRegistry) {
-        let metrics = DbMetrics::new(registry);
+        self.readings.bind_metrics(registry);
+        let metrics = DbMetrics {
+            triggers_fired: registry.counter("db.triggers_fired"),
+            objects: registry.gauge("db.objects"),
+        };
         #[allow(clippy::cast_precision_loss)]
         metrics.objects.set(self.objects.len() as f64);
         self.metrics = Some(metrics);
@@ -129,7 +116,6 @@ impl SpatialDatabase {
         let events = self.triggers.on_insert(&reading, now);
         self.readings.insert(reading);
         if let Some(metrics) = &self.metrics {
-            metrics.readings_inserted.inc();
             metrics.triggers_fired.add(events.len() as u64);
         }
         events
@@ -138,11 +124,7 @@ impl SpatialDatabase {
     /// Revokes all readings from `sensor` about `object` (logout
     /// semantics). Returns how many rows were dropped.
     pub fn revoke_readings(&mut self, sensor: &SensorId, object: &MobileObjectId) -> usize {
-        let revoked = self.readings.revoke(sensor, object);
-        if let Some(metrics) = &self.metrics {
-            metrics.readings_revoked.add(revoked as u64);
-        }
-        revoked
+        self.readings.revoke(sensor, object)
     }
 
     /// Read access to the sensor-reading table.
@@ -151,20 +133,16 @@ impl SpatialDatabase {
         &self.readings
     }
 
-    /// Mutable access to the sensor-reading table. Bypasses triggers and
-    /// metrics — meant for bulk migration of readings between stores
-    /// (e.g. into per-shard databases), not for normal ingest.
+    /// Mutable access to the sensor-reading table. Bypasses triggers —
+    /// meant for bulk migration of readings between stores (e.g. into
+    /// per-shard tables), not for normal ingest.
     pub fn readings_mut(&mut self) -> &mut SensorReadingTable {
         &mut self.readings
     }
 
     /// Prunes expired readings.
     pub fn prune_expired(&mut self, now: SimTime) -> usize {
-        let pruned = self.readings.prune_expired(now);
-        if let Some(metrics) = &self.metrics {
-            metrics.readings_pruned.add(pruned as u64);
-        }
-        pruned
+        self.readings.prune_expired(now)
     }
 
     // --- sensor metadata ---------------------------------------------------
@@ -211,16 +189,7 @@ impl SpatialDatabase {
     /// All live readings about one object at `now` (the fusion input).
     #[must_use]
     pub fn live_readings_for(&self, object: &MobileObjectId, now: SimTime) -> Vec<SensorReading> {
-        if let Some(metrics) = &self.metrics {
-            metrics.live_queries.inc();
-        }
-        let mut out: Vec<SensorReading> =
-            self.readings.readings_for(object, now).cloned().collect();
-        // The backing table iterates in hash order, which differs between
-        // otherwise-identical table instances. Conflict resolution breaks
-        // probability ties by position, so fusion must see a stable order.
-        out.sort_unstable_by(|a, b| a.sensor_id.cmp(&b.sensor_id));
-        out
+        self.readings.live_readings_for(object, now)
     }
 
     /// The MBR of everything known about the physical space — a sensible

@@ -24,11 +24,24 @@ use mw_sensors::{MobileObjectId, SensorId, SensorReading};
 /// storing thin pointers keeps the table's resident cost near the
 /// payload itself — the city-scale bytes-per-tracked-object budget is
 /// dominated by exactly this table.
+///
+/// The table owns the `db.*` reading counters (`DESIGN.md` §8), so a
+/// [`crate::SpatialDatabase`] and a bare per-shard table count alike.
 #[derive(Debug, Clone, Default)]
 pub struct SensorReadingTable {
     #[allow(clippy::vec_box)] // thin rows: see capacity note above
     rows: HashMap<MobileObjectId, Vec<Box<SensorReading>>>,
     len: usize,
+    metrics: Option<ReadingMetrics>,
+}
+
+/// Counter handles resolved once at [`SensorReadingTable::bind_metrics`].
+#[derive(Debug, Clone)]
+struct ReadingMetrics {
+    inserted: mw_obs::Counter,
+    revoked: mw_obs::Counter,
+    pruned: mw_obs::Counter,
+    live_queries: mw_obs::Counter,
 }
 
 impl SensorReadingTable {
@@ -36,6 +49,18 @@ impl SensorReadingTable {
     #[must_use]
     pub fn new() -> Self {
         SensorReadingTable::default()
+    }
+
+    /// Publishes `db.readings_inserted`, `db.readings_revoked`,
+    /// `db.readings_pruned` and `db.live_queries` to `registry`. Rows
+    /// inserted before this call are never counted.
+    pub fn bind_metrics(&mut self, registry: &mw_obs::MetricsRegistry) {
+        self.metrics = Some(ReadingMetrics {
+            inserted: registry.counter("db.readings_inserted"),
+            revoked: registry.counter("db.readings_revoked"),
+            pruned: registry.counter("db.readings_pruned"),
+            live_queries: registry.counter("db.live_queries"),
+        });
     }
 
     /// Number of stored readings (including possibly expired ones not yet
@@ -54,6 +79,9 @@ impl SensorReadingTable {
     /// Inserts a reading, superseding the previous reading of the same
     /// `(sensor, object)` pair. Returns the superseded reading, if any.
     pub fn insert(&mut self, reading: SensorReading) -> Option<SensorReading> {
+        if let Some(metrics) = &self.metrics {
+            metrics.inserted.inc();
+        }
         let per_object = self.rows.entry(reading.object.clone()).or_default();
         if let Some(slot) = per_object
             .iter_mut()
@@ -93,6 +121,9 @@ impl SensorReadingTable {
             self.rows.remove(object);
         }
         self.len -= dropped;
+        if let Some(metrics) = &self.metrics {
+            metrics.revoked.add(dropped as u64);
+        }
         dropped
     }
 
@@ -108,6 +139,21 @@ impl SensorReadingTable {
             .flatten()
             .map(|r| &**r)
             .filter(move |r| !r.is_expired(now))
+    }
+
+    /// Copies out the live readings about `object` at `now` (the fusion
+    /// input), sorted by sensor id. Rows sit in per-object `Vec`s in
+    /// insert/revoke history order, so two tables holding the same live
+    /// set can order it differently; conflict resolution breaks
+    /// probability ties by position, so fusion must see one order.
+    #[must_use]
+    pub fn live_readings_for(&self, object: &MobileObjectId, now: SimTime) -> Vec<SensorReading> {
+        if let Some(metrics) = &self.metrics {
+            metrics.live_queries.inc();
+        }
+        let mut out: Vec<SensorReading> = self.readings_for(object, now).cloned().collect();
+        out.sort_unstable_by(|a, b| a.sensor_id.cmp(&b.sensor_id));
+        out
     }
 
     /// All live readings at `now`, any object.
@@ -151,6 +197,9 @@ impl SensorReadingTable {
         }
         self.rows.retain(|_, per_object| !per_object.is_empty());
         self.len = self.rows.values().map(Vec::len).sum();
+        if let Some(metrics) = &self.metrics {
+            metrics.pruned.add((before - self.len) as u64);
+        }
         before - self.len
     }
 }
