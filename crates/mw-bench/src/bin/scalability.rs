@@ -437,14 +437,10 @@ fn equivalence_check(
     checks
 }
 
-// --- subscription scale: rule-compiled DAG vs naive per-rule walk --------
+// --- subscription scale: the rule-compiled DAG under look-alike load ------
 
-/// Rule counts swept against the shared (DAG-compiled) engine. The
-/// naive per-rule engine only runs the first two — at 100k+ its
-/// registration alone (one R-tree entry and one group per rule) is the
-/// quadratic story the compiler exists to delete.
+/// Rule counts swept against the DAG-compiled engine.
 const SS_SCALES: &[usize] = &[1_000, 10_000, 100_000, 1_000_000];
-const SS_NAIVE_SCALES: &[usize] = &[1_000, 10_000];
 
 /// Distinct predicates in the pool: 10×10 ft rects exactly tiling the
 /// 500×100 ft paper floor (50 columns × 10 rows), so every object sits
@@ -473,7 +469,6 @@ fn ss_predicate(rank: usize) -> mw_core::Predicate {
 
 struct SsRow {
     rules: usize,
-    mode: &'static str,
     register_ms: f64,
     dag_nodes: f64,
     dag_groups: f64,
@@ -482,11 +477,8 @@ struct SsRow {
     eval_us_per_fuse: f64,
 }
 
-fn ss_cell(rules: usize, shared: bool) -> SsRow {
-    let (svc, registry, _broker) = perf_service(ServiceTuning {
-        rule_sharing: shared,
-        ..ServiceTuning::default()
-    });
+fn ss_cell(rules: usize) -> SsRow {
+    let (svc, registry, _broker) = perf_service(ServiceTuning::default());
     let cdf = zipf_cdf(SS_PREDICATES, SS_ZIPF_S);
     let mut rng = StdRng::seed_from_u64(23);
     let reg_start = Instant::now();
@@ -503,10 +495,9 @@ fn ss_cell(rules: usize, shared: bool) -> SsRow {
     // of a newly satisfied group fires once); the measured batches then
     // re-ingest the same objects at later instants, so the per-fuse cost
     // is the steady-state evaluation the Figure 9 claim is about. Atoms
-    // are counted over the prepopulate batch: it is the one fuse per
-    // object in which every candidate group is dirty. The measured
-    // batches carry unchanged evidence, so differential evaluation
-    // skips every group there and evaluates no atom at all.
+    // are counted over the prepopulate batch: one fuse per object. The
+    // measured batches carry unchanged evidence and evaluate the same
+    // candidate groups again.
     prepopulate(&svc, SimTime::ZERO);
     let atoms = registry.snapshot().counter("rules.eval.atoms").unwrap_or(0);
     let eval_start = Instant::now();
@@ -518,7 +509,6 @@ fn ss_cell(rules: usize, shared: bool) -> SsRow {
     let fuses = (PERF_OBJECTS * SS_MEASURED_BATCHES) as f64;
     SsRow {
         rules,
-        mode: if shared { "shared" } else { "naive" },
         register_ms,
         dag_nodes: snap.gauge("rules.dag.nodes").unwrap_or(0.0),
         dag_groups: snap.gauge("rules.dag.groups").unwrap_or(0.0),
@@ -536,22 +526,15 @@ fn ss_cell(rules: usize, shared: bool) -> SsRow {
 fn subscription_scale_sweep() -> String {
     println!("== perf: rule-compiled subscriptions (Zipf({SS_ZIPF_S}) over {SS_PREDICATES} predicates) ==");
     println!(
-        "  {:>9} {:>7} {:>12} {:>7} {:>8} {:>9} {:>11} {:>13}",
-        "rules", "mode", "register ms", "nodes", "groups", "sharing", "atoms/fuse", "eval µs/fuse"
+        "  {:>9} {:>12} {:>7} {:>8} {:>9} {:>11} {:>13}",
+        "rules", "register ms", "nodes", "groups", "sharing", "atoms/fuse", "eval µs/fuse"
     );
-    let mut rows: Vec<SsRow> = Vec::new();
-    for &rules in SS_SCALES {
-        rows.push(ss_cell(rules, true));
-        if SS_NAIVE_SCALES.contains(&rules) {
-            rows.push(ss_cell(rules, false));
-        }
-    }
+    let rows: Vec<SsRow> = SS_SCALES.iter().map(|&rules| ss_cell(rules)).collect();
     let mut json_rows = String::new();
     for row in &rows {
         println!(
-            "  {:>9} {:>7} {:>12.1} {:>7.0} {:>8.0} {:>8.1}x {:>11.1} {:>13.2}",
+            "  {:>9} {:>12.1} {:>7.0} {:>8.0} {:>8.1}x {:>11.1} {:>13.2}",
             row.rules,
-            row.mode,
             row.register_ms,
             row.dag_nodes,
             row.dag_groups,
@@ -564,11 +547,10 @@ fn subscription_scale_sweep() -> String {
         }
         let _ = write!(
             json_rows,
-            "    {{\"rules\": {}, \"mode\": \"{}\", \"register_ms\": {:.2}, \
+            "    {{\"rules\": {}, \"register_ms\": {:.2}, \
              \"dag_nodes\": {:.0}, \"dag_groups\": {:.0}, \"sharing_ratio\": {:.2}, \
              \"atoms_per_fuse\": {:.2}, \"eval_us_per_fuse\": {:.3}}}",
             row.rules,
-            row.mode,
             row.register_ms,
             row.dag_nodes,
             row.dag_groups,
@@ -578,18 +560,18 @@ fn subscription_scale_sweep() -> String {
         );
     }
 
-    let shared_at = |rules: usize| {
+    let at = |rules: usize| {
         rows.iter()
-            .find(|r| r.rules == rules && r.mode == "shared")
+            .find(|r| r.rules == rules)
             .expect("swept scale present")
     };
-    let ratio_100k = shared_at(100_000).sharing_ratio;
+    let ratio_100k = at(100_000).sharing_ratio;
     assert!(
         ratio_100k >= 100.0,
         "sharing ratio regressed: {ratio_100k:.1}x < 100x at 100k look-alike rules"
     );
-    let atoms_1k = shared_at(1_000).atoms_per_fuse;
-    let atoms_100k = shared_at(100_000).atoms_per_fuse;
+    let atoms_1k = at(1_000).atoms_per_fuse;
+    let atoms_100k = at(100_000).atoms_per_fuse;
     assert!(
         atoms_100k <= 10.0 * atoms_1k.max(1.0),
         "per-fuse atom cost grew super-linearly: {atoms_100k:.1} at 100k vs {atoms_1k:.1} at 1k"
@@ -1072,9 +1054,8 @@ fn city_scale_sweep() -> String {
         "interest-grid pruning regressed: {cand_full:.1} candidates/ingest at \
          {rules_full} rules vs {cand_low:.1} at {rules_low} (gate: <= 2x)"
     );
-    // Differential-evaluation / allocation-free-ingest gates (DESIGN.md
-    // §15). Both are single-thread release-mode rates, so they hold on
-    // any host; the smoke workload is strictly lighter per move (50x
+    // Ingest-rate and rule-load-flatness gates (DESIGN.md §15). Both are
+    // single-thread release-mode rates, so they hold on any host; the smoke workload is strictly lighter per move (50x
     // fewer rules) and clears the same absolute bar with more margin.
     let ingest_floor = CITY_INGEST_SPEEDUP_MIN * CITY_INGEST_BASELINE;
     assert!(
@@ -1146,7 +1127,6 @@ fn perf_mix() {
     let (baseline, base_reg, _bb) = perf_service(ServiceTuning {
         shards: 1,
         fusion_cache: false,
-        ..ServiceTuning::default()
     });
     let (tuned, tuned_reg, _tb) = perf_service(ServiceTuning::default());
     prepopulate(&baseline, t0);
@@ -1246,7 +1226,7 @@ fn perf_mix() {
     );
     assert!(ratio >= 0.8, "cache hit ratio regressed: {ratio:.3} < 0.8");
 
-    // 5. Rule-compiled subscriptions: shared DAG vs naive walk.
+    // 5. Rule-compiled subscriptions under look-alike load.
     let subscription_scale = subscription_scale_sweep();
 
     // 6. City scale: interned ids + compact state + interest grid.

@@ -57,12 +57,14 @@
 //! one shared dwell clock (that is what "compiled" means — and it is
 //! observationally identical to per-rule clocks, since clock evolution
 //! is a deterministic function of the ingest stream). Two splits keep
-//! late registration identical to the naive walk: a rule added while a
+//! late registration identical to per-rule evaluation, checked by the
+//! public-API reference in `tests/reference/`: a rule added while a
 //! group already holds edge state gets a fresh group (sharing the same
 //! DAG nodes) so it observes its own rising edge, and a rule added
 //! after a stateful node's clock has run gets a private copy of that
 //! node (pure subtrees stay shared) so its clocks start fresh.
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -82,7 +84,7 @@ use crate::{CoreError, LocationFix, Notification};
 
 /// Deterministic multiply-rotate hasher (fxhash-style) for the engine's
 /// hot maps, whose keys are small dense integers (interned object ids,
-/// group/node indices, grid cells). Every dirty candidate evaluation
+/// group/node indices, grid cells). Every candidate evaluation
 /// performs several map operations on these keys; SipHash's per-lookup
 /// cost dominated that bookkeeping, and its DoS resistance buys nothing
 /// for crate-internal integer keys (DESIGN.md §15).
@@ -192,11 +194,17 @@ pub enum Predicate {
         /// Minimum displacement between firings.
         threshold: f64,
     },
-    /// Every child predicate holds.
+    /// Every child predicate holds. A notification carries the
+    /// probability and region of the child with the lowest probability
+    /// (on equal probabilities, the least region by min x, min y, max x,
+    /// max y).
     And(Vec<Predicate>),
-    /// At least one child predicate holds.
+    /// At least one child predicate holds. A notification carries the
+    /// probability and region of the child with the highest probability
+    /// (on equal probabilities, the greatest region in the same order).
     Or(Vec<Predicate>),
-    /// The child predicate does not hold.
+    /// The child predicate does not hold. A notification carries
+    /// `1 − p` of the child, and the child's region.
     Not(Box<Predicate>),
 }
 
@@ -576,7 +584,7 @@ impl NodeKind {
     /// Nodes carrying per-object clock state (dwell clocks, movement
     /// anchors). These intern only while clean: once a node has
     /// accumulated state, a newly added rule gets a private copy so it
-    /// starts its clocks fresh, exactly like the naive walk.
+    /// starts its clocks fresh, exactly like a rule evaluated alone.
     fn stateful(&self) -> bool {
         matches!(self, NodeKind::Dwell { .. } | NodeKind::Moved { .. })
     }
@@ -667,10 +675,6 @@ struct RuleRecord {
 /// read-only half (safe to fan out across objects), `apply` the
 /// stateful half (sequential, deterministic order).
 pub(crate) struct RuleEngine {
-    /// Interning on (the default). `false` gives each rule private,
-    /// unshared nodes and its own group — the naive per-subscription
-    /// walk, kept as the differential-testing and benchmark baseline.
-    shared: bool,
     /// The service-wide identity interner: object ids arriving at the
     /// engine's crate-internal API as strings are resolved to dense
     /// `u32` handles once per call, and all per-object edge state below
@@ -702,30 +706,11 @@ pub(crate) struct RuleEngine {
     rules: HashMap<SubscriptionId, RuleRecord>,
     /// Sum of `RuleRecord::expanded` over live rules.
     expanded_total: u64,
-    /// Per-node *value purity*, parallel to `nodes`. A pure node's value
-    /// is a function of the evaluation signature alone (fused evidence,
-    /// thresholds, position/estimate, fallback region): `InRegion` /
-    /// `NearPoint` atoms, and `Not`/`And`/`Or` over pure children. Note
-    /// this is broader than the interest-index purity of
-    /// [`RuleEngine::interest_of`]: a `Not` over a pure child is
-    /// value-pure (cacheable) even though it must be always-evaluated.
-    /// `Dwell`/`Moved` (clock state) and `CoLocated` (partner state)
-    /// are impure.
-    pure: Vec<bool>,
-    /// Differential root cache: last `(signature, value)` per
-    /// `(group, object)` for groups with a pure root. On a signature
-    /// match the whole group evaluation is served from here.
-    root_cache: FastMap<(u32, u32), (u64, NodeVal)>,
-    /// Differential frontier cache: last `(signature, value)` per
-    /// `(pure node, object)` where the node is a child of an impure
-    /// parent (the dirty walk stops descending here on a match).
-    leaf_cache: FastMap<(u32, u32), (u64, NodeVal)>,
 }
 
 impl std::fmt::Debug for RuleEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuleEngine")
-            .field("shared", &self.shared)
             .field("rules", &self.rules.len())
             .field("nodes", &self.nodes.len())
             .field("groups", &self.live_groups())
@@ -765,19 +750,9 @@ pub(crate) struct GroupEval {
 pub(crate) struct ObjectEvaluation {
     evals: Vec<GroupEval>,
     node_updates: Vec<(usize, NodeState)>,
-    /// Differential root-cache writes `(group, signature, value)` to
-    /// commit alongside the edge state.
-    root_writes: Vec<(u32, u64, NodeVal)>,
-    /// Differential frontier-cache writes `(node, signature, value)`.
-    leaf_writes: Vec<(u32, u64, NodeVal)>,
     /// Leaf atoms evaluated in this pass (post-memoization) — the
     /// `rules.eval.atoms` metric.
     pub atoms_evaluated: u64,
-    /// Candidate groups actually re-walked — `rules.eval.dirty`.
-    pub dirty_groups: u64,
-    /// Groups / frontier subtrees served from the differential caches —
-    /// `rules.eval.skipped`.
-    pub skipped_cached: u64,
 }
 
 impl ObjectEvaluation {
@@ -785,19 +760,12 @@ impl ObjectEvaluation {
         ObjectEvaluation {
             evals: Vec::new(),
             node_updates: Vec::new(),
-            root_writes: Vec::new(),
-            leaf_writes: Vec::new(),
             atoms_evaluated: 0,
-            dirty_groups: 0,
-            skipped_cached: 0,
         }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.evals.is_empty()
-            && self.node_updates.is_empty()
-            && self.root_writes.is_empty()
-            && self.leaf_writes.is_empty()
+        self.evals.is_empty() && self.node_updates.is_empty()
     }
 }
 
@@ -830,6 +798,25 @@ struct NodeVal {
     truth: bool,
     probability: f64,
     region: Rect,
+}
+
+impl NodeVal {
+    /// The order `And` / `Or` pick their payload by: probability, then
+    /// the region's corners. Ties on probability are common (two atoms
+    /// the evidence misses both read 0), and interning puts children in
+    /// node-id order, so a tie must not fall to child order.
+    fn payload_cmp(&self, other: &NodeVal) -> Ordering {
+        let key = |v: &NodeVal| {
+            let (lo, hi) = (v.region.min(), v.region.max());
+            [v.probability, lo.x, lo.y, hi.x, hi.y]
+        };
+        let (a, b) = (key(self), key(other));
+        a.iter()
+            .zip(&b)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
 }
 
 impl Default for NodeVal {
@@ -891,45 +878,24 @@ impl EvalScratch {
     }
 }
 
-/// FNV-1a over 64-bit words — the evaluation-signature hash (cheap,
-/// deterministic, allocation-free). A collision merely serves one stale
-/// cached value whose inputs hash alike; at ~2⁻³⁹ over the bench's
-/// volume this is accepted and documented in DESIGN.md §15.
-fn fnv_words<I: IntoIterator<Item = u64>>(words: I) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-            h ^= (w >> shift) & 0xff;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Read-only inputs threaded through one object's node walk.
 struct EvalCtx<'a, 'b> {
     object: &'a MobileObjectId,
     obj: u32,
     input: &'a EvalInput<'b>,
     partner: &'a dyn Fn(&MobileObjectId) -> Option<LocationFix>,
-    /// The evaluation signature when differential mode is on; `None`
-    /// runs the exact legacy walk (no cache reads, no cache writes).
-    sig: Option<u64>,
 }
 
 /// Mutable side effects of one object's node walk.
 struct EvalSideEffects<'a> {
     scratch: &'a mut EvalScratch,
     updates: Vec<(usize, NodeState)>,
-    leaf_writes: Vec<(u32, u64, NodeVal)>,
     atoms: u64,
-    skipped: u64,
 }
 
 impl RuleEngine {
-    pub(crate) fn new(shared: bool, idents: Arc<Interner>) -> RuleEngine {
+    pub(crate) fn new(idents: Arc<Interner>) -> RuleEngine {
         RuleEngine {
-            shared,
             idents,
             next_id: 0,
             nodes: Vec::new(),
@@ -944,9 +910,6 @@ impl RuleEngine {
             touched: FastSet::default(),
             rules: HashMap::new(),
             expanded_total: 0,
-            pure: Vec::new(),
-            root_cache: FastMap::default(),
-            leaf_cache: FastMap::default(),
         }
     }
 
@@ -962,20 +925,18 @@ impl RuleEngine {
             object,
             trigger: TriggerKey::of(rule.trigger),
         };
-        if self.shared {
-            if let Some(&g) = self.group_index.get(&key) {
-                if let Some(group) = self.groups[g].as_mut() {
-                    // Join only while the group holds no edge state:
-                    // a rule added while the predicate already holds for
-                    // some object must still see its own rising edge
-                    // (exactly the historical per-subscription
-                    // behaviour). The DAG nodes stay shared either way.
-                    if group.state.is_empty() {
-                        group.members.push(id);
-                        self.rules.insert(id, RuleRecord { group: g, expanded });
-                        self.expanded_total += expanded;
-                        return id;
-                    }
+        if let Some(&g) = self.group_index.get(&key) {
+            if let Some(group) = self.groups[g].as_mut() {
+                // Join only while the group holds no edge state: a rule
+                // added while the predicate already holds for some
+                // object must still see its own rising edge (exactly
+                // per-rule behaviour). The DAG nodes stay shared either
+                // way.
+                if group.state.is_empty() {
+                    group.members.push(id);
+                    self.rules.insert(id, RuleRecord { group: g, expanded });
+                    self.expanded_total += expanded;
+                    return id;
                 }
             }
         }
@@ -1013,17 +974,16 @@ impl RuleEngine {
             return false;
         };
         self.expanded_total -= record.expanded;
-        let Some(group) = self.groups[record.group].as_mut() else {
-            return true;
-        };
-        group.members.retain(|m| *m != id);
-        if !group.members.is_empty() {
-            return true;
+        let slot = &mut self.groups[record.group];
+        if let Some(group) = slot.as_mut() {
+            group.members.retain(|m| *m != id);
         }
         // Last member gone: free the group (DAG nodes persist — they
         // are interned and may be referenced by other rules, current or
         // future).
-        let group = self.groups[record.group].take().expect("checked above");
+        let Some(group) = slot.take_if(|group| group.members.is_empty()) else {
+            return true;
+        };
         if let Some(o) = group.object {
             if let Some(own) = self.bound.get_mut(&o) {
                 own.retain(|g| *g != record.group);
@@ -1042,12 +1002,9 @@ impl RuleEngine {
             self.group_index.remove(&group.key);
         }
         // Per-object clean-up walks the freed group's own edge state, not
-        // every object: the group is on `truthy[obj]`, and `(group, obj)`
-        // can be in the root cache, only while `state[obj].inside` —
-        // `apply_groups_into` writes all three from one evaluation, and
-        // the cache keeps true values only. (The frontier cache keys on
-        // DAG nodes, which persist, so it stays valid.)
-        #[allow(clippy::cast_possible_truncation)]
+        // every object: the group is on `truthy[obj]` only while
+        // `state[obj].inside` — `apply_groups_into` writes both from one
+        // evaluation.
         for (&obj, state) in &group.state {
             if !state.inside {
                 continue;
@@ -1055,36 +1012,23 @@ impl RuleEngine {
             if let Some(truthy) = self.truthy.get_mut(&obj) {
                 truthy.retain(|g| *g != record.group);
             }
-            self.root_cache.remove(&(record.group as u32, obj));
         }
         true
     }
 
     fn push_node(&mut self, kind: NodeKind) -> usize {
-        if self.shared {
-            if let Some(&existing) = self.intern.get(&kind) {
-                // A stateful node whose clock has already run cannot be
-                // joined: the naive walk would give a newly added rule a
-                // fresh dwell clock / movement anchor, so the DAG must
-                // too. Allocate a private copy and re-point the interner
-                // at it — rules added from here on share the clean copy.
-                if !(kind.stateful() && self.touched.contains(&existing)) {
-                    return existing;
-                }
+        if let Some(&existing) = self.intern.get(&kind) {
+            // A stateful node whose clock has already run cannot be
+            // joined: a rule evaluated alone would start a fresh dwell
+            // clock / movement anchor, so the DAG must too. Allocate a
+            // private copy and re-point the interner at it — rules added
+            // from here on share the clean copy.
+            if !(kind.stateful() && self.touched.contains(&existing)) {
+                return existing;
             }
         }
         let idx = self.nodes.len();
-        if self.shared {
-            self.intern.insert(kind.clone(), idx);
-        }
-        // Value purity, bottom-up (children are already pushed).
-        let pure = match &kind {
-            NodeKind::InRegion { .. } | NodeKind::NearPoint { .. } => true,
-            NodeKind::Not(c) => self.pure[*c],
-            NodeKind::And(cs) | NodeKind::Or(cs) => cs.iter().all(|&c| self.pure[c]),
-            NodeKind::CoLocated { .. } | NodeKind::Dwell { .. } | NodeKind::Moved { .. } => false,
-        };
-        self.pure.push(pure);
+        self.intern.insert(kind.clone(), idx);
         self.nodes.push(kind);
         idx
     }
@@ -1318,57 +1262,11 @@ impl RuleEngine {
         scanned
     }
 
-    /// The differential evaluation signature for one fuse of one object:
-    /// a fingerprint of every input a *pure* node can read. Equal
-    /// signatures ⇒ every pure subtree would evaluate to the same value
-    /// as last time, so its cached result can be served verbatim.
-    /// Deliberately excludes `input.now` — pure nodes never read the
-    /// clock (temporal degradation is already baked into the fused
-    /// evidence fingerprint), which is what lets stationary objects hit
-    /// the cache across ingests while dwell clocks keep advancing.
-    fn eval_signature(&self, input: &EvalInput<'_>) -> u64 {
-        let rect_words = |r: &Rect| {
-            [
-                r.min().x.to_bits(),
-                r.min().y.to_bits(),
-                r.max().x.to_bits(),
-                r.max().y.to_bits(),
-            ]
-        };
-        let mut words = [0u64; 15];
-        words[0] = input.fusion.value_fingerprint();
-        words[1] = input.thresholds.value_fingerprint();
-        match input.position {
-            Some(p) => {
-                words[2] = 1;
-                words[3] = p.x.to_bits();
-                words[4] = p.y.to_bits();
-            }
-            None => words[2] = 2,
-        }
-        match &input.estimate {
-            Some(r) => {
-                words[5] = 1;
-                words[6..10].copy_from_slice(&rect_words(r));
-            }
-            None => words[5] = 2,
-        }
-        words[10..14].copy_from_slice(&rect_words(&input.fallback_region));
-        fnv_words(words)
-    }
-
     /// Evaluates the candidate groups against one fuse. Each reachable
     /// DAG node is computed at most once per pass (memoized in the
-    /// caller's reusable [`EvalScratch`]); atom-clock updates and cache
-    /// writes are *collected*, not applied — [`apply`](RuleEngine::apply)
-    /// commits them, which is what lets this half run concurrently
-    /// across objects.
-    ///
-    /// With `differential` on, groups whose pure root evaluated under
-    /// the same signature last time are served from the root cache
-    /// without walking, and the walk of dirty groups stops descending
-    /// at frontier-cached pure subtrees. `false` is the exact legacy
-    /// walk: no cache reads, no cache writes.
+    /// caller's reusable [`EvalScratch`]); atom-clock updates are
+    /// *collected*, not applied — [`apply`](RuleEngine::apply) commits
+    /// them, so this half runs under the engine's read lock.
     pub(crate) fn evaluate(
         &self,
         object: &MobileObjectId,
@@ -1376,51 +1274,25 @@ impl RuleEngine {
         input: &EvalInput<'_>,
         partner: &dyn Fn(&MobileObjectId) -> Option<LocationFix>,
         scratch: &mut EvalScratch,
-        differential: bool,
     ) -> ObjectEvaluation {
-        let obj = self.idents.intern(object.as_str());
         scratch.begin(self.nodes.len());
-        let sig = differential.then(|| self.eval_signature(input));
         let ctx = EvalCtx {
             object,
-            obj,
+            obj: self.idents.intern(object.as_str()),
             input,
             partner,
-            sig,
         };
         let mut fx = EvalSideEffects {
             scratch,
             updates: Vec::new(),
-            leaf_writes: Vec::new(),
             atoms: 0,
-            skipped: 0,
         };
-        let mut root_writes: Vec<(u32, u64, NodeVal)> = Vec::new();
-        let mut dirty = 0u64;
         let mut evals: Vec<GroupEval> = Vec::with_capacity(candidates.len());
         for &g in candidates {
             let Some(group) = self.groups[g].as_ref() else {
                 continue;
             };
-            #[allow(clippy::cast_possible_truncation)]
-            let value = match (sig, self.pure[group.root]) {
-                (Some(sig), true) => match self.root_cache.get(&(g as u32, obj)) {
-                    Some(&(cached_sig, v)) if cached_sig == sig => {
-                        fx.skipped += 1;
-                        v
-                    }
-                    _ => {
-                        dirty += 1;
-                        let v = self.eval_node(group.root, &ctx, &mut fx);
-                        root_writes.push((g as u32, sig, v));
-                        v
-                    }
-                },
-                _ => {
-                    dirty += 1;
-                    self.eval_node(group.root, &ctx, &mut fx)
-                }
-            };
+            let value = self.eval_node(group.root, &ctx, &mut fx);
             evals.push(GroupEval {
                 group: g,
                 satisfied: value.truth,
@@ -1433,42 +1305,8 @@ impl RuleEngine {
         ObjectEvaluation {
             evals,
             node_updates: fx.updates,
-            root_writes,
-            leaf_writes: fx.leaf_writes,
             atoms_evaluated: fx.atoms,
-            dirty_groups: dirty,
-            skipped_cached: fx.skipped,
         }
-    }
-
-    /// Evaluates `child` from inside an impure parent. In differential
-    /// mode a pure child is the *frontier*: its last value is cached per
-    /// object, and an unchanged signature stops the walk here.
-    fn eval_child(
-        &self,
-        child: usize,
-        ctx: &EvalCtx<'_, '_>,
-        fx: &mut EvalSideEffects<'_>,
-    ) -> NodeVal {
-        if let Some(sig) = ctx.sig {
-            if self.pure[child] {
-                if let Some(v) = fx.scratch.get(child) {
-                    return v;
-                }
-                #[allow(clippy::cast_possible_truncation)]
-                if let Some(&(cached_sig, v)) = self.leaf_cache.get(&(child as u32, ctx.obj)) {
-                    if cached_sig == sig {
-                        fx.skipped += 1;
-                        return fx.scratch.put(child, v);
-                    }
-                }
-                let v = self.eval_node(child, ctx, fx);
-                #[allow(clippy::cast_possible_truncation)]
-                fx.leaf_writes.push((child as u32, sig, v));
-                return v;
-            }
-        }
-        self.eval_node(child, ctx, fx)
     }
 
     fn eval_node(
@@ -1571,7 +1409,7 @@ impl RuleEngine {
                 }
             }
             NodeKind::Dwell { child, duration } => {
-                let inner = self.eval_child(*child, ctx, fx);
+                let inner = self.eval_node(*child, ctx, fx);
                 let since = match self.node_state.get(&(node, ctx.obj)) {
                     Some(NodeState::DwellSince(s)) => *s,
                     _ => None,
@@ -1595,57 +1433,41 @@ impl RuleEngine {
                 }
             }
             NodeKind::Not(child) => {
-                let inner = self.eval_child(*child, ctx, fx);
+                let inner = self.eval_node(*child, ctx, fx);
                 NodeVal {
                     truth: !inner.truth,
                     probability: (1.0 - inner.probability).clamp(0.0, 1.0),
                     region: inner.region,
                 }
             }
-            NodeKind::And(children) => {
+            NodeKind::And(children) | NodeKind::Or(children) => {
+                let and = matches!(self.nodes[node], NodeKind::And(_));
+                // Payload: And's binding constraint (least child), Or's
+                // strongest alternative (greatest child).
+                let wanted = if and {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                };
+                let mut truth = and;
+                let mut payload: Option<NodeVal> = None;
                 // No short-circuiting: every child evaluates so shared
                 // stateful atoms advance deterministically.
-                let mut out: Option<NodeVal> = None;
-                let mut truth = true;
-                for i in 0..children.len() {
-                    let c = match &self.nodes[node] {
-                        NodeKind::And(cs) => cs[i],
-                        _ => unreachable!("node kind is stable during evaluation"),
+                for &c in children {
+                    let v = self.eval_node(c, ctx, fx);
+                    truth = if and {
+                        truth && v.truth
+                    } else {
+                        truth || v.truth
                     };
-                    let v = self.eval_child(c, ctx, fx);
-                    truth &= v.truth;
-                    // Payload: the binding constraint (lowest probability).
-                    if out.is_none_or(|best| v.probability < best.probability) {
-                        out = Some(v);
+                    if payload.is_none_or(|best| v.payload_cmp(&best) == wanted) {
+                        payload = Some(v);
                     }
                 }
-                let payload = out.expect("and() validated non-empty");
+                // Compiled and/or nodes have at least two children.
                 NodeVal {
                     truth,
-                    probability: payload.probability,
-                    region: payload.region,
-                }
-            }
-            NodeKind::Or(children) => {
-                let mut out: Option<NodeVal> = None;
-                let mut truth = false;
-                for i in 0..children.len() {
-                    let c = match &self.nodes[node] {
-                        NodeKind::Or(cs) => cs[i],
-                        _ => unreachable!("node kind is stable during evaluation"),
-                    };
-                    let v = self.eval_child(c, ctx, fx);
-                    truth |= v.truth;
-                    // Payload: the strongest alternative.
-                    if out.is_none_or(|best| v.probability > best.probability) {
-                        out = Some(v);
-                    }
-                }
-                let payload = out.expect("or() validated non-empty");
-                NodeVal {
-                    truth,
-                    probability: payload.probability,
-                    region: payload.region,
+                    ..payload.unwrap_or_default()
                 }
             }
         };
@@ -1689,24 +1511,6 @@ impl RuleEngine {
         for (node, state) in evaluation.node_updates {
             self.touched.insert(node);
             self.node_state.insert((node, obj), state);
-        }
-        // Both differential caches keep true values only, so they are
-        // bounded by edge state instead of growing by one entry per
-        // (candidate, move) forever (DESIGN.md §15). A missing entry is
-        // a miss and re-evaluates, which returns what the entry held.
-        for (group, sig, value) in evaluation.root_writes {
-            if value.truth && self.groups[group as usize].is_some() {
-                self.root_cache.insert((group, obj), (sig, value));
-            } else {
-                self.root_cache.remove(&(group, obj));
-            }
-        }
-        for (node, sig, value) in evaluation.leaf_writes {
-            if value.truth {
-                self.leaf_cache.insert((node, obj), (sig, value));
-            } else {
-                self.leaf_cache.remove(&(node, obj));
-            }
         }
         for eval in evaluation.evals {
             let Some(group) = self.groups[eval.group].as_mut() else {
@@ -1869,8 +1673,8 @@ impl RuleEngine {
 mod tests {
     use super::*;
 
-    fn engine(shared: bool) -> RuleEngine {
-        RuleEngine::new(shared, Arc::new(Interner::new()))
+    fn engine() -> RuleEngine {
+        RuleEngine::new(Arc::new(Interner::new()))
     }
 
     fn region(i: u32) -> Rect {
@@ -1941,7 +1745,7 @@ mod tests {
 
     #[test]
     fn look_alike_rules_share_one_node_and_one_group() {
-        let mut engine = engine(true);
+        let mut engine = engine();
         for _ in 0..1000 {
             engine.add(&Rule::when(in_region(0)).build().unwrap());
         }
@@ -1953,7 +1757,7 @@ mod tests {
 
     #[test]
     fn structurally_equal_subtrees_intern_to_one_node() {
-        let mut engine = engine(true);
+        let mut engine = engine();
         // Same And over the same atoms, written in opposite orders.
         engine.add(&Rule::when(in_region(0).and(in_region(1))).build().unwrap());
         engine.add(&Rule::when(in_region(1).and(in_region(0))).build().unwrap());
@@ -1971,19 +1775,8 @@ mod tests {
     }
 
     #[test]
-    fn naive_mode_never_shares() {
-        let mut engine = engine(false);
-        for _ in 0..10 {
-            engine.add(&Rule::when(in_region(0)).build().unwrap());
-        }
-        assert_eq!(engine.node_count(), 10);
-        assert_eq!(engine.live_groups(), 10);
-        assert!((engine.sharing_ratio() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn and_or_collapse_duplicate_children() {
-        let mut engine = engine(true);
+        let mut engine = engine();
         engine.add(&Rule::when(in_region(0).and(in_region(0))).build().unwrap());
         // And([a, a]) canonicalizes to a single atom node.
         assert_eq!(engine.node_count(), 1);
@@ -1991,7 +1784,7 @@ mod tests {
 
     #[test]
     fn remove_frees_group_but_keeps_nodes() {
-        let mut engine = engine(true);
+        let mut engine = engine();
         let a = engine.add(&Rule::when(in_region(0)).build().unwrap());
         let b = engine.add(&Rule::when(in_region(0)).build().unwrap());
         assert_eq!(engine.live_groups(), 1);
@@ -2010,7 +1803,7 @@ mod tests {
 
     #[test]
     fn always_evaluate_classification() {
-        let mut engine = engine(true);
+        let mut engine = engine();
         engine.add(&Rule::when(in_region(0)).build().unwrap());
         engine.add(&Rule::when(in_region(1).not()).build().unwrap());
         engine.add(
@@ -2048,11 +1841,7 @@ mod tests {
                 position,
             }],
             node_updates: Vec::new(),
-            root_writes: Vec::new(),
-            leaf_writes: Vec::new(),
             atoms_evaluated: 0,
-            dirty_groups: 1,
-            skipped_cached: 0,
         }
     }
 
@@ -2068,7 +1857,7 @@ mod tests {
 
     #[test]
     fn edge_triggering() {
-        let mut engine = engine(true);
+        let mut engine = engine();
         engine.add(&Rule::when(in_region(0)).build().unwrap());
         // False → no edge.
         assert!(!fires(&mut engine, "alice", false, None));
@@ -2083,7 +1872,7 @@ mod tests {
 
     #[test]
     fn exit_triggering() {
-        let mut engine = engine(true);
+        let mut engine = engine();
         engine.add(&Rule::when(in_region(0)).on_exit().build().unwrap());
         // Entering fires nothing.
         assert!(!fires(&mut engine, "alice", true, None));
@@ -2098,7 +1887,7 @@ mod tests {
 
     #[test]
     fn move_triggering() {
-        let mut engine = engine(true);
+        let mut engine = engine();
         engine.add(&Rule::when(in_region(0)).on_move(3.0).build().unwrap());
         // Entry fires and anchors.
         assert!(fires(
@@ -2144,7 +1933,7 @@ mod tests {
 
     #[test]
     fn state_is_per_object() {
-        let mut engine = engine(true);
+        let mut engine = engine();
         engine.add(&Rule::when(in_region(0)).build().unwrap());
         assert!(fires(&mut engine, "alice", true, None));
         // Bob's first satisfaction is its own edge.
@@ -2153,7 +1942,7 @@ mod tests {
 
     #[test]
     fn group_members_fire_together_sorted_by_id() {
-        let mut engine = engine(true);
+        let mut engine = engine();
         let a = engine.add(&Rule::when(in_region(0)).build().unwrap());
         let b = engine.add(&Rule::when(in_region(0)).build().unwrap());
         let ev = verdict(&engine, 0, true, None);
@@ -2163,7 +1952,7 @@ mod tests {
 
     #[test]
     fn late_join_gets_fresh_edge_state() {
-        let mut engine = engine(true);
+        let mut engine = engine();
         engine.add(&Rule::when(in_region(0)).build().unwrap());
         // Alice enters: group 0 now holds state.
         assert!(fires(&mut engine, "alice", true, None));
@@ -2179,7 +1968,7 @@ mod tests {
 
     #[test]
     fn stateful_node_splits_after_its_clock_has_run() {
-        let mut engine = engine(true);
+        let mut engine = engine();
         let dwell =
             || Predicate::in_region(region(0), 0.5).for_at_least(SimDuration::from_secs(5.0));
         engine.add(&Rule::when(dwell()).build().unwrap());
@@ -2193,8 +1982,8 @@ mod tests {
             .push((1, NodeState::DwellSince(Some(SimTime::from_secs(1.0)))));
         engine.apply(&"alice".into(), ev);
 
-        // A rule added now must NOT inherit the running clock — the
-        // naive walk would start it fresh. The dwell node splits (the
+        // A rule added now must NOT inherit the running clock — a rule
+        // evaluated alone would start it fresh. The dwell node splits (the
         // pure InRegion child stays shared), and the new root lands in
         // its own group.
         let late = engine.add(&Rule::when(dwell()).build().unwrap());
@@ -2211,7 +2000,7 @@ mod tests {
 
     #[test]
     fn object_filter_prunes_candidates() {
-        let mut engine = engine(true);
+        let mut engine = engine();
         engine.add(&Rule::when(in_region(0)).object("alice").build().unwrap());
         engine.add(&Rule::when(in_region(0)).object("bob").build().unwrap());
         engine.add(&Rule::when(in_region(0)).build().unwrap());
@@ -2221,7 +2010,7 @@ mod tests {
 
     #[test]
     fn freed_bound_group_leaves_no_trace_and_rejoiner_rises_again() {
-        let mut engine = engine(true);
+        let mut engine = engine();
         let rule = || Rule::when(in_region(0)).object("alice").build().unwrap();
         let a = engine.add(&rule());
         let b = engine.add(&rule());
@@ -2465,13 +2254,12 @@ mod tests {
             /// `candidate_groups_into` equals the brute-force definition
             /// after every registration, removal, re-registration and
             /// edge-state change, for bound, wildcard and unknown
-            /// objects, on shared and naive engines.
+            /// objects.
             #[test]
             fn candidate_selection_matches_brute_force_oracle(
-                shared in proptest::bool::ANY,
                 ops in proptest::collection::vec(op(), 1..60),
             ) {
-                let mut engine = RuleEngine::new(shared, Arc::new(Interner::new()));
+                let mut engine = engine();
                 let mut live: Vec<(SubscriptionId, Rule)> = Vec::new();
                 for op in ops {
                     let mut windows = probes();
@@ -2496,109 +2284,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    // --- differential caches stay bounded by edge state --------------------
-
-    /// Touching 10 × 10 tiles: an object sighted over tile `i` makes the
-    /// groups of tiles `i ± 1` candidates too (`Rect::intersects` is
-    /// inclusive), which then evaluate false.
-    fn tile(i: usize) -> Rect {
-        let x = i as f64 * 10.0;
-        Rect::new(Point::new(x, 0.0), Point::new(x + 10.0, 10.0))
-    }
-
-    /// One real fuse → select → differential evaluate → apply round for
-    /// `object` sighted over `tile(at)`; returns the cache-served count.
-    fn sight(engine: &mut RuleEngine, scratch: &mut EvalScratch, object: &str, at: usize) -> u64 {
-        use mw_sensors::{SensorReading, SensorSpec};
-        let universe = Rect::new(Point::new(0.0, 0.0), Point::new(200.0, 50.0));
-        let spec = SensorSpec::ubisense(1.0);
-        let reading = SensorReading {
-            sensor_id: "S".into(),
-            spec,
-            object: object.into(),
-            glob_prefix: "CS".parse().unwrap(),
-            region: tile(at),
-            detected_at: SimTime::ZERO,
-            time_to_live: SimDuration::from_secs(1e6),
-            tdf: mw_model::TemporalDegradation::None,
-            moving: false,
-        };
-        let fusion = SharedFusion::from_result(
-            mw_fusion::FusionEngine::new(universe).fuse(&[reading], SimTime::ZERO),
-        );
-        let windows: Vec<Rect> = fusion.result().evidence_regions().collect();
-        let object: MobileObjectId = object.into();
-        let candidates = engine.candidate_groups(&object, &windows);
-        let thresholds = BandThresholds::from_sensor_accuracies(&[spec.hit_probability()]);
-        let estimate = fusion.result().best_estimate().map(|e| e.region);
-        let input = EvalInput {
-            fusion: &fusion,
-            position: estimate.map(|r| r.center()),
-            estimate,
-            fallback_region: universe,
-            thresholds: &thresholds,
-            now: SimTime::ZERO,
-        };
-        let evaluation = engine.evaluate(&object, &candidates, &input, &|_| None, scratch, true);
-        let served = evaluation.skipped_cached;
-        engine.apply(&object, evaluation);
-        served
-    }
-
-    #[test]
-    fn differential_caches_never_outgrow_the_true_pairs() {
-        const TILES: usize = 12;
-        const OBJECTS: usize = 6;
-        let mut engine = engine(true);
-        let mut scratch = EvalScratch::new();
-        // One enter rule per tile (pure root → root cache); every other
-        // tile also a dwell rule, whose pure child is a frontier node
-        // (its own node: a child the pass already memoized for another
-        // group is never written to the frontier cache).
-        let mut enter = Vec::new();
-        for i in 0..TILES {
-            let here = Predicate::in_region(tile(i), 0.5);
-            enter.push(engine.add(&Rule::when(here).build().unwrap()));
-            if i % 2 == 0 {
-                let dwell =
-                    Predicate::in_region(tile(i), 0.6).for_at_least(SimDuration::from_secs(5.0));
-                engine.add(&Rule::when(dwell).build().unwrap());
-            }
-        }
-        let names: Vec<String> = (0..OBJECTS).map(|o| format!("p{o}")).collect();
-        let mut at: Vec<Option<usize>> = vec![None; OBJECTS];
-        let mut lcg = 12345u64;
-        for _ in 0..300 {
-            lcg = lcg
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let (o, to) = ((lcg >> 33) as usize % OBJECTS, (lcg >> 40) as usize % TILES);
-            at[o] = Some(to);
-            sight(&mut engine, &mut scratch, &names[o], to);
-            // Currently true: each placed object's own tile group, and
-            // that tile's frontier node where a dwell rule watches it.
-            let true_groups = at.iter().flatten().count();
-            let true_nodes = at.iter().flatten().filter(|&&t| t % 2 == 0).count();
-            assert_eq!(engine.root_cache.len(), true_groups);
-            assert_eq!(engine.leaf_cache.len(), true_nodes);
-        }
-        // What the caches are for still works: an unmoved object
-        // re-reported under an unchanged signature is served from them.
-        let (o, here) = (0, at[0].expect("300 draws place every object"));
-        assert!(sight(&mut engine, &mut scratch, &names[o], here) > 0);
-
-        // Freeing a group takes its cache entries and `truthy` marks
-        // with it, found through the group's own edge state.
-        let freed = engine.rules[&enter[here]].group;
-        let obj = engine.idents.intern(&names[o]);
-        #[allow(clippy::cast_possible_truncation)]
-        let key = (freed as u32, obj);
-        assert!(engine.root_cache.contains_key(&key));
-        assert!(engine.truthy[&obj].contains(&freed));
-        assert!(engine.remove(enter[here]));
-        assert!(engine.root_cache.keys().all(|&(g, _)| g as usize != freed));
-        assert!(engine.truthy.values().all(|set| !set.contains(&freed)));
     }
 }

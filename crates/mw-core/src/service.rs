@@ -41,10 +41,10 @@ use crate::{
 pub type SharedNotification = Arc<Notification>;
 
 /// Tuning for [`LocationService`]: how many shards the per-object state
-/// is spread over, and whether each hot-path optimisation is on. The
-/// defaults are the production layout; tests that want the pre-sharding
+/// is spread over, and whether fusion results are cached. The defaults
+/// are the production layout; tests that want the pre-sharding
 /// behaviour for differential comparison use `ServiceTuning { shards: 1,
-/// fusion_cache: false, ..ServiceTuning::default() }`.
+/// fusion_cache: false }`.
 #[derive(Debug, Clone)]
 pub struct ServiceTuning {
     /// Number of shards in the per-object state map (readings,
@@ -58,26 +58,6 @@ pub struct ServiceTuning {
     /// lattice rebuild. Answers are bit-identical either way (see the
     /// equivalence property test).
     pub fusion_cache: bool,
-    /// Whether the rule compiler interns structurally-equal
-    /// subexpressions into a shared trigger DAG (`DESIGN.md` §12). The
-    /// default `true` evaluates each distinct predicate once per fuse;
-    /// `false` gives every rule private nodes and its own trigger group
-    /// — the historical per-subscription walk, kept as the
-    /// differential-testing and benchmark baseline. Notifications are
-    /// byte-identical either way (see the rule-equivalence proptests).
-    pub rule_sharing: bool,
-    /// Whether subscription evaluation is *differential* (`DESIGN.md`
-    /// §15): per-(group, object) root values and per-(node, object)
-    /// frontier values are cached under a fingerprint of the fuse's
-    /// value-relevant inputs, and unchanged pure subtrees are served
-    /// from the cache instead of re-walked. Stateful atoms (dwell
-    /// clocks, moved anchors, co-location) are never cached and advance
-    /// identically. The default `true` is the city-scale hot path;
-    /// `false` is the exact legacy full walk, kept as the
-    /// differential-testing twin (see the differential-vs-full
-    /// rule-equivalence proptests — notifications, epochs and answers
-    /// are byte-identical either way).
-    pub differential_eval: bool,
 }
 
 impl Default for ServiceTuning {
@@ -85,8 +65,6 @@ impl Default for ServiceTuning {
         ServiceTuning {
             shards: 16,
             fusion_cache: true,
-            rule_sharing: true,
-            differential_eval: true,
         }
     }
 }
@@ -664,8 +642,6 @@ struct CoreMetrics {
     rules_dag_groups: mw_obs::Gauge,
     rules_sharing_ratio: mw_obs::Gauge,
     rules_atoms: mw_obs::Counter,
-    rules_eval_dirty: mw_obs::Counter,
-    rules_eval_skipped: mw_obs::Counter,
     rules_eval_latency: mw_obs::Histogram,
     rules_candidates: mw_obs::Counter,
     rules_scanned: mw_obs::Counter,
@@ -696,8 +672,6 @@ impl CoreMetrics {
             rules_dag_groups: registry.gauge("rules.dag.groups"),
             rules_sharing_ratio: registry.gauge("rules.dag.sharing_ratio"),
             rules_atoms: registry.counter("rules.eval.atoms"),
-            rules_eval_dirty: registry.counter("rules.eval.dirty"),
-            rules_eval_skipped: registry.counter("rules.eval.skipped"),
             rules_eval_latency: registry.histogram("rules.eval.latency_us"),
             rules_candidates: registry.counter("rules.candidates.examined"),
             rules_scanned: registry.counter("rules.candidates.scanned"),
@@ -971,7 +945,7 @@ impl LocationService {
             world,
             shards,
             engine,
-            rules: RwLock::new(RuleEngine::new(tuning.rule_sharing, Arc::clone(&idents))),
+            rules: RwLock::new(RuleEngine::new(Arc::clone(&idents))),
             idents,
             tuning,
             sensor_accuracies: RwLock::new(Vec::new()),
@@ -2130,14 +2104,11 @@ impl LocationService {
                     &input,
                     &partner,
                     &mut scratch.borrow_mut(),
-                    self.tuning.differential_eval,
                 )
             });
             drop(rule_timer);
             if let Some(metrics) = &self.metrics {
                 metrics.rules_atoms.add(evaluation.atoms_evaluated);
-                metrics.rules_eval_dirty.add(evaluation.dirty_groups);
-                metrics.rules_eval_skipped.add(evaluation.skipped_cached);
             }
             evaluation
         })

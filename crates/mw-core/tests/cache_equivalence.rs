@@ -130,7 +130,6 @@ proptest! {
         let plain = build(ServiceTuning {
             shards: 1,
             fusion_cache: false,
-            ..ServiceTuning::default()
         });
 
         for (step, op) in ops.iter().enumerate() {

@@ -239,12 +239,12 @@ fn run_schedule(
                 ttl_secs,
             } => {
                 let out = AdapterOutput::single(reading(sensor, object, center, now, ttl_secs));
-                model.ingest(&out);
+                model.ingest(&out, now);
                 service.ingest(out, now);
             }
             Op::Revoke { sensor, object } => {
                 let out = revocation(sensor, object);
-                model.ingest(&out);
+                model.ingest(&out, now);
                 service.ingest(out, now);
             }
             Op::Query { object, rect } => {
@@ -325,7 +325,7 @@ fn service_matches_reference_on_a_room_walk() {
                 let center = Point::new(room as f64 * 50.0 + 25.0, 50.0 + lap as f64);
                 let out =
                     AdapterOutput::single(reading(obj % SENSORS.len(), obj, center, now, 1e6));
-                model.ingest(&out);
+                model.ingest(&out, now);
                 service.ingest(out, now);
                 assert_eq!(
                     locate(&service, object, now),
@@ -366,7 +366,7 @@ fn equal_probability_tie_break_ignores_row_order() {
     for history in histories {
         let (service, mut model) = build();
         for out in history {
-            model.ingest(&out);
+            model.ingest(&out, at);
             service.ingest(out, at);
         }
         let mut seen = vec![locate(&service, "alice", now)];
@@ -391,7 +391,8 @@ fn supervised_last_good_and_export_match_reference() {
     let service =
         LocationService::new_supervised(floor_db(), universe(), &broker, &registry, supervisor);
     register_rules(&service);
-    let mut model = Reference::new(&floor_db(), universe()).supervised();
+    let mut model =
+        Reference::new(&floor_db(), universe()).supervised(HealthConfig::new(universe()));
     let room = |i: f64| {
         Rect::new(
             Point::new(i * 50.0, 0.0),
@@ -409,7 +410,7 @@ fn supervised_last_good_and_export_match_reference() {
     ];
     for (sensor, object, center, ttl) in seed {
         let out = AdapterOutput::single(reading(sensor, object, center, t(1.0), ttl));
-        model.ingest(&out);
+        model.ingest(&out, t(1.0));
         service.ingest(out, t(1.0));
     }
     let fixes = |service: &LocationService, model: &mut Reference, now: SimTime| {
@@ -430,7 +431,7 @@ fn supervised_last_good_and_export_match_reference() {
 
     // alice loses her only reading; dave's Ubi-2 row expires at t = 6.
     let out = revocation(0, 0);
-    model.ingest(&out);
+    model.ingest(&out, t(3.0));
     service.ingest(out, t(3.0));
     let rung = |object: &str, now: SimTime| match locate(&service, object, now) {
         Answer::Fix(_, quality) => Some(quality),

@@ -1,25 +1,29 @@
 //! Property: rule evaluation over the interned trigger DAG is
-//! observationally identical to naive per-rule evaluation.
+//! observationally identical to evaluating every rule on its own.
 //!
-//! `ServiceTuning::rule_sharing` flips the rule engine between its two
-//! modes: shared (structurally-equal subexpressions interned into one
-//! DAG node, look-alike rules fused into one trigger group) and naive
-//! (no interning, one group per rule — the per-subscription walk the
-//! compiler replaced). Sharing is only sound if every observable output
-//! — notification payloads, ordering, per-object epochs, reading counts
-//! — is *byte-identical* between the two. These proptests register the
-//! same random rule set on twin services differing only in that flag,
-//! drive identical random ingest schedules, and demand exact equality
-//! at every step, with and without a sensor supervisor (whose
-//! quarantine decisions remove evidence mid-dwell and mid-edge).
+//! The service compiles rules into shared DAG nodes and look-alike
+//! trigger groups, and evaluates only the candidate groups its selection
+//! picks per fuse. The model in `reference/` does none of that: each
+//! ingest walks every live rule's `Predicate` tree for each affected
+//! object, with clocks and edges kept per rule. These proptests register
+//! the same random rule set on both, drive identical random ingest
+//! schedules — with mid-schedule rule churn, replayed stationary
+//! batches, and a sensor supervisor whose quarantine decisions remove
+//! evidence mid-dwell and mid-edge — and demand exact equality of the
+//! notification stream (payloads and order), per-object epochs,
+//! `reading_count` and `tracked_objects` at every step.
 //!
-//! A deterministic test at the bottom pins the dwell-clock reset
-//! semantics across quarantine-induced evidence loss on both modes.
+//! Deterministic single-service tests at the bottom pin the dwell-clock
+//! semantics across evidence loss, quarantine and unchanged evidence.
+
+mod reference;
 
 use std::sync::Arc;
 
 use mw_bus::Broker;
-use mw_core::{LocationService, Notification, Predicate, Rule, ServiceTuning, SubscriptionSpec};
+use mw_core::{
+    LocationService, Notification, Predicate, Rule, ServiceTuning, SubscriptionId, SubscriptionSpec,
+};
 use mw_geometry::{Point, Polygon, Rect};
 use mw_model::{SimDuration, SimTime, TemporalDegradation};
 use mw_obs::MetricsRegistry;
@@ -29,6 +33,7 @@ use mw_sensors::{
 use mw_spatial_db::{Geometry, ObjectType, SpatialDatabase, SpatialObject};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use reference::{Fired, Reference};
 
 /// Eight people, so bound rules — the rule generator gives eight in
 /// nine an object filter — spread over many per-object candidate lists.
@@ -74,8 +79,7 @@ fn room(i: usize) -> Rect {
 // --- rule-set strategy ---------------------------------------------------
 
 /// An atom drawn from a small pool so independent rules collide
-/// structurally (that collision is exactly what the interner fuses —
-/// and what the naive twin must survive without).
+/// structurally (that collision is exactly what the interner fuses).
 fn atom() -> impl Strategy<Value = Predicate> {
     (0..5usize, 0..10usize, 0..3usize, 0..OBJECTS.len()).prop_map(
         |(kind, room_ix, level, partner)| {
@@ -206,522 +210,321 @@ fn item_to_output(item: &BatchItem, at: SimTime) -> AdapterOutput {
     }
 }
 
-// --- twins ---------------------------------------------------------------
+// --- service and reference in lockstep -----------------------------------
 
-fn build(rule_sharing: bool) -> Arc<LocationService> {
-    let broker = Broker::new();
-    LocationService::new_with_tuning(
-        floor_db(),
-        universe(),
-        &broker,
-        ServiceTuning {
-            rule_sharing,
-            ..ServiceTuning::default()
-        },
-    )
+/// A service and its reference model, fed identically.
+struct Pair {
+    service: Arc<LocationService>,
+    model: Reference,
 }
 
-fn build_supervised(rule_sharing: bool) -> Arc<LocationService> {
+fn build(supervised: bool) -> Pair {
     let broker = Broker::new();
+    let model = Reference::new(&floor_db(), universe());
+    if !supervised {
+        return Pair {
+            service: LocationService::new(floor_db(), universe(), &broker),
+            model,
+        };
+    }
     let registry = MetricsRegistry::new();
     let supervisor = SensorSupervisor::new(HealthConfig::new(universe())).shared();
-    LocationService::new_supervised_with_tuning(
-        floor_db(),
-        universe(),
-        &broker,
-        &registry,
-        supervisor,
-        ServiceTuning {
-            rule_sharing,
-            ..ServiceTuning::default()
-        },
-    )
-}
-
-/// Registers `rules` on both twins in the same order (ids line up), plus
-/// a handful of legacy specs so the `SubscriptionSpec` → one-atom-rule
-/// shim path is exercised alongside native rules.
-fn register_rules(shared: &LocationService, naive: &LocationService, rules: &[Rule]) {
-    for rule in rules {
-        let a = shared.subscribe_rule(rule.clone());
-        let b = naive.subscribe_rule(rule.clone());
-        assert_eq!(a, b, "twin subscription ids diverged");
-    }
-    for i in 0..3 {
-        let spec = SubscriptionSpec::region_entry(room(i * 3), 0.3);
-        let a = shared.subscribe(spec.clone());
-        let b = naive.subscribe(spec);
-        assert_eq!(a, b, "twin subscription ids diverged on spec shim");
+    Pair {
+        service: LocationService::new_supervised(
+            floor_db(),
+            universe(),
+            &broker,
+            &registry,
+            supervisor,
+        ),
+        model: model.supervised(HealthConfig::new(universe())),
     }
 }
 
-/// Drives the same batch schedule through both twins and demands
-/// byte-identical observable behaviour at every step.
-fn assert_twins_agree(
-    shared: &LocationService,
-    naive: &LocationService,
-    schedule: &[Vec<BatchItem>],
-    start_step: usize,
-) -> Result<(), TestCaseError> {
-    for (step, batch) in schedule.iter().enumerate() {
-        let step = start_step + step;
-        let now = SimTime::from_secs(step as f64);
-        let outputs: Vec<AdapterOutput> = batch.iter().map(|i| item_to_output(i, now)).collect();
-        let a: Vec<Notification> = shared.ingest_batch(outputs.clone(), now);
-        let b: Vec<Notification> = naive.ingest_batch(outputs, now);
-        prop_assert_eq!(a, b, "notifications diverged at step {}", step);
-        prop_assert_eq!(shared.reading_count(), naive.reading_count());
-        for object in OBJECTS {
+impl Pair {
+    fn subscribe(&mut self, rule: &Rule) -> Result<SubscriptionId, TestCaseError> {
+        let id = self.service.subscribe_rule(rule.clone());
+        prop_assert_eq!(
+            id.value(),
+            self.model.subscribe(rule.clone()),
+            "subscription ids diverged"
+        );
+        Ok(id)
+    }
+
+    /// Registers `rules` in order, plus a handful of legacy specs so the
+    /// `SubscriptionSpec` → one-atom-rule shim path is exercised
+    /// alongside native rules.
+    fn register(&mut self, rules: &[Rule]) -> Result<Vec<SubscriptionId>, TestCaseError> {
+        let ids = rules
+            .iter()
+            .map(|rule| self.subscribe(rule))
+            .collect::<Result<_, _>>()?;
+        for i in 0..3 {
+            let spec = SubscriptionSpec::region_entry(room(i * 3), 0.3);
+            let id = self.service.subscribe(spec.clone()).value();
             prop_assert_eq!(
-                shared.object_epoch(&(*object).into()),
-                naive.object_epoch(&(*object).into()),
-                "epoch diverged for {} at step {}",
-                object,
-                step
+                id,
+                self.model.subscribe_spec(spec),
+                "ids diverged on spec shim"
             );
         }
+        Ok(ids)
     }
-    let end = SimTime::from_secs((start_step + schedule.len()) as f64);
-    prop_assert_eq!(shared.tracked_objects(end), naive.tracked_objects(end));
-    Ok(())
+
+    /// Drives `schedule` through both and demands identical observable
+    /// behaviour at every step.
+    fn run(&mut self, schedule: &[Vec<BatchItem>], start_step: usize) -> Result<(), TestCaseError> {
+        for (step, batch) in schedule.iter().enumerate() {
+            let step = start_step + step;
+            let now = SimTime::from_secs(step as f64);
+            let outputs: Vec<AdapterOutput> =
+                batch.iter().map(|i| item_to_output(i, now)).collect();
+            let expected = self.model.ingest_batch(&outputs, now);
+            let fired: Vec<Fired> = self
+                .service
+                .ingest_batch(outputs, now)
+                .iter()
+                .map(Fired::of)
+                .collect();
+            prop_assert_eq!(fired, expected, "notifications diverged at step {}", step);
+            prop_assert_eq!(self.service.reading_count(), self.model.reading_count());
+            for object in OBJECTS {
+                prop_assert_eq!(
+                    self.service.object_epoch(&(*object).into()),
+                    self.model.epoch(object),
+                    "epoch diverged for {} at step {}",
+                    object,
+                    step
+                );
+            }
+        }
+        let end = SimTime::from_secs((start_step + schedule.len()) as f64);
+        let mut tracked = self.service.tracked_objects(end);
+        tracked.sort();
+        prop_assert_eq!(tracked, self.model.tracked_objects(end));
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The interned DAG fires the notifications — payloads, order,
+    /// epochs — that per-rule evaluation of every rule fires, over
+    /// random rule sets and ingest schedules.
+    #[test]
+    fn service_matches_reference(rules in rule_set(), schedule in batches()) {
+        let mut pair = build(false);
+        pair.register(&rules)?;
+        pair.run(&schedule, 0)?;
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The interned DAG fires the same notifications — payloads, order,
-    /// epochs — as naive per-rule evaluation over random rule sets and
-    /// ingest schedules.
-    #[test]
-    fn dag_matches_naive(rules in rule_set(), schedule in batches()) {
-        let shared = build(true);
-        let naive = build(false);
-        register_rules(&shared, &naive, &rules);
-        assert_twins_agree(&shared, &naive, &schedule, 0)?;
-    }
-
     /// Rules registered *mid-schedule* (late joins, which split into
-    /// fresh edge-state groups on the shared engine) and removals keep
-    /// the twins identical too.
+    /// fresh edge-state groups and fresh stateful nodes in the DAG) and
+    /// unsubscribes keep the two identical too.
     #[test]
-    fn dag_matches_naive_with_churn(
+    fn service_matches_reference_with_churn(
         rules in rule_set(),
         late in rule_set(),
         schedule in batches(),
     ) {
-        let shared = build(true);
-        let naive = build(false);
-        register_rules(&shared, &naive, &rules);
+        let mut pair = build(false);
+        let ids = pair.register(&rules)?;
         let half = schedule.len() / 2;
-        assert_twins_agree(&shared, &naive, &schedule[..half], 0)?;
-        // Late joiners arrive while groups hold live edge state.
-        for rule in &late {
-            let a = shared.subscribe_rule(rule.clone());
-            let b = naive.subscribe_rule(rule.clone());
-            prop_assert_eq!(a, b);
+        pair.run(&schedule[..half], 0)?;
+        // Late joiners arrive while groups hold live edge state: new
+        // rules, and a look-alike of every original rule.
+        for rule in late.iter().chain(&rules) {
+            pair.subscribe(rule)?;
         }
-        // Remove every third original rule from both twins. Ids were
-        // assigned in lock-step, so re-subscribing rules[0] on both and
-        // unsubscribing it recovers a valid shared id to target.
-        if !rules.is_empty() {
-            let a = shared.subscribe_rule(rules[0].clone());
-            let b = naive.subscribe_rule(rules[0].clone());
-            prop_assert_eq!(a, b);
-            prop_assert!(shared.unsubscribe(a).is_ok());
-            prop_assert!(naive.unsubscribe(b).is_ok());
+        // Every third original rule leaves, freeing the groups it was
+        // alone in.
+        for &id in ids.iter().step_by(3) {
+            prop_assert!(pair.service.unsubscribe(id).is_ok());
+            prop_assert!(pair.model.unsubscribe(id.value()));
         }
-        assert_twins_agree(&shared, &naive, &schedule[half..], half)?;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Same property with a sensor supervisor in the loop: quarantine
-    /// decisions (driven by out-of-frame readings in the schedule)
-    /// remove evidence mid-dwell and mid-edge, and both engines must
-    /// observe the identical degraded fusion stream.
-    #[test]
-    fn dag_matches_naive_supervised(rules in rule_set(), schedule in batches()) {
-        let shared = build_supervised(true);
-        let naive = build_supervised(false);
-        register_rules(&shared, &naive, &rules);
-        assert_twins_agree(&shared, &naive, &schedule, 0)?;
-    }
-}
-
-// --- differential vs full evaluation twins -------------------------------
-
-fn build_diff(differential_eval: bool) -> Arc<LocationService> {
-    let broker = Broker::new();
-    LocationService::new_with_tuning(
-        floor_db(),
-        universe(),
-        &broker,
-        ServiceTuning {
-            differential_eval,
-            ..ServiceTuning::default()
-        },
-    )
-}
-
-fn build_diff_supervised(differential_eval: bool) -> Arc<LocationService> {
-    let broker = Broker::new();
-    let registry = MetricsRegistry::new();
-    let supervisor = SensorSupervisor::new(HealthConfig::new(universe())).shared();
-    LocationService::new_supervised_with_tuning(
-        floor_db(),
-        universe(),
-        &broker,
-        &registry,
-        supervisor,
-        ServiceTuning {
-            differential_eval,
-            ..ServiceTuning::default()
-        },
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Differential evaluation (root/frontier caches keyed by input
-    /// signature) fires the same notifications — payloads, order,
-    /// epochs — as the full walk over random rule sets and schedules.
-    #[test]
-    fn differential_matches_full(rules in rule_set(), schedule in batches()) {
-        let differential = build_diff(true);
-        let full = build_diff(false);
-        register_rules(&differential, &full, &rules);
-        assert_twins_agree(&differential, &full, &schedule, 0)?;
+        pair.run(&schedule[half..], half)?;
     }
 
-    /// The cache-friendliest workload: one batch replayed verbatim over
-    /// several steps. Evidence rectangles and probabilities repeat
-    /// exactly, so the differential twin serves pure subtrees from its
-    /// caches while dwell clocks and moved anchors keep advancing —
-    /// and must still match the full walk byte for byte.
+    /// One batch replayed verbatim over several steps: evidence and
+    /// probabilities repeat exactly while dwell clocks and moved anchors
+    /// keep advancing.
     #[test]
-    fn differential_matches_full_stationary(
+    fn service_matches_reference_stationary(
         rules in rule_set(),
         batch in proptest::collection::vec(batch_item(), 1..10),
         repeats in 2..8usize,
     ) {
-        let differential = build_diff(true);
-        let full = build_diff(false);
-        register_rules(&differential, &full, &rules);
+        let mut pair = build(false);
+        pair.register(&rules)?;
         let schedule: Vec<Vec<BatchItem>> = vec![batch; repeats];
-        assert_twins_agree(&differential, &full, &schedule, 0)?;
+        pair.run(&schedule, 0)?;
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Same property under a sensor supervisor: quarantine transitions
-    /// change the fused-evidence fingerprint, so the differential twin
-    /// must invalidate and re-walk exactly when the full walk changes
-    /// its answer.
+    /// Same property with a sensor supervisor in the loop on both sides:
+    /// quarantine decisions (driven by out-of-frame readings in the
+    /// schedule) remove evidence mid-dwell and mid-edge.
     #[test]
-    fn differential_matches_full_supervised(rules in rule_set(), schedule in batches()) {
-        let differential = build_diff_supervised(true);
-        let full = build_diff_supervised(false);
-        register_rules(&differential, &full, &rules);
-        assert_twins_agree(&differential, &full, &schedule, 0)?;
+    fn service_matches_reference_supervised(rules in rule_set(), schedule in batches()) {
+        let mut pair = build(true);
+        pair.register(&rules)?;
+        pair.run(&schedule, 0)?;
     }
 }
 
-// --- deterministic dwell-clock semantics across evidence loss ------------
+// --- deterministic dwell-clock semantics ----------------------------------
 
 /// Feeds an in-frame reading for `alice` in room 0 at `now`.
-fn alice_in_room0(service: &LocationService, now: SimTime) -> Vec<Notification> {
-    let r = reading(0, 0, Point::new(25.0, 50.0), now, 4.0);
+fn alice_in_room0(service: &LocationService, now: SimTime, ttl: f64) -> Vec<Notification> {
+    let r = reading(0, 0, Point::new(25.0, 50.0), now, ttl);
     service.ingest_batch(vec![AdapterOutput::single(r)], now)
 }
 
-/// The dwell clock resets when quarantine-induced evidence loss turns
-/// the inner predicate false — on both engine modes, identically.
+/// A dwell rule on alice in room 0.
+fn dwell_rule(secs: f64) -> Rule {
+    Rule::when(Predicate::in_region(room(0), 0.5).for_at_least(SimDuration::from_secs(secs)))
+        .object("alice")
+        .build()
+        .unwrap()
+}
+
+/// The dwell clock resets when evidence loss turns the inner predicate
+/// false.
 ///
 /// Timeline: alice dwells in room 0 from t=0; the dwell needs 6
 /// continuous seconds. At t=4 the sensor goes quiet and the reading's
 /// 4-second TTL expires, so by the t=10 fuse the inner atom is false
-/// and the clock must reset — the rule may not fire at t=12 (only 2
-/// seconds of fresh dwell) and must fire once 6 fresh seconds have
-/// accumulated at t=16.
+/// and the clock must reset — the rule may not fire at t=12 or t=14
+/// (2 and 4 seconds of fresh dwell) and must fire once 6 fresh seconds
+/// have accumulated at t=18.
 #[test]
-fn dwell_clock_resets_across_evidence_loss_on_both_engines() {
-    for rule_sharing in [true, false] {
-        let service = build(rule_sharing);
-        let rule = Rule::when(
-            Predicate::in_region(room(0), 0.5).for_at_least(SimDuration::from_secs(6.0)),
-        )
-        .object("alice")
-        .build()
-        .unwrap();
-        let id = service.subscribe_rule(rule);
-
-        // t=0..4: dwell accumulates but stays short of 6 seconds.
-        for t in 0..=4 {
-            let fired = alice_in_room0(&service, SimTime::from_secs(t as f64));
-            assert!(
-                fired.is_empty(),
-                "sharing={rule_sharing}: dwell fired early at t={t}: {fired:?}"
-            );
-        }
-
-        // t=10: the TTL expired at t=8; the fuse sees no evidence, the
-        // inner atom goes false, the clock resets. (An empty batch still
-        // re-evaluates affected objects via the revocation path.)
-        let out = AdapterOutput {
-            readings: vec![],
-            revocations: vec![Revocation {
-                sensor_id: SENSORS[0].into(),
-                object: OBJECTS[0].into(),
-            }],
-        };
-        let fired = service.ingest_batch(vec![out], SimTime::from_secs(10.0));
-        assert!(
-            fired.is_empty(),
-            "sharing={rule_sharing}: dwell fired across evidence loss: {fired:?}"
-        );
-
-        // t=12: only 2 seconds of fresh dwell — must not fire.
-        let fired = alice_in_room0(&service, SimTime::from_secs(12.0));
-        assert!(
-            fired.is_empty(),
-            "sharing={rule_sharing}: dwell clock failed to reset: {fired:?}"
-        );
-        let fired = alice_in_room0(&service, SimTime::from_secs(14.0));
-        assert!(
-            fired.is_empty(),
-            "sharing={rule_sharing}: dwell fired at 2s short: {fired:?}"
-        );
-
-        // t=18: 6 fresh continuous seconds since t=12 — fires exactly once.
-        let fired = alice_in_room0(&service, SimTime::from_secs(18.0));
-        assert_eq!(
-            fired.len(),
-            1,
-            "sharing={rule_sharing}: dwell should fire once after 6 fresh seconds: {fired:?}"
-        );
-        assert_eq!(fired[0].subscription, id);
-
-        // Still inside: on-enter must not re-fire.
-        let fired = alice_in_room0(&service, SimTime::from_secs(20.0));
-        assert!(
-            fired.is_empty(),
-            "sharing={rule_sharing}: on-enter re-fired while dwelling: {fired:?}"
-        );
-    }
-}
-
-/// Quarantining the only sensor mid-dwell (via repeated out-of-frame
-/// violations) behaves exactly like TTL expiry: the dwell clock resets
-/// and both engine modes agree step-for-step.
-#[test]
-fn dwell_across_quarantine_shared_and_naive_agree() {
-    let shared = build_supervised(true);
-    let naive = build_supervised(false);
-    let rule =
-        Rule::when(Predicate::in_region(room(0), 0.5).for_at_least(SimDuration::from_secs(4.0)))
-            .object("alice")
-            .build()
-            .unwrap();
-    let a = shared.subscribe_rule(rule.clone());
-    let b = naive.subscribe_rule(rule);
-    assert_eq!(a, b);
-
-    let mut all_shared = Vec::new();
-    let mut all_naive = Vec::new();
-    let mut drive = |outputs: Vec<AdapterOutput>, now: SimTime| {
-        let fa = shared.ingest_batch(outputs.clone(), now);
-        let fb = naive.ingest_batch(outputs, now);
-        assert_eq!(fa, fb, "twins diverged at t={now:?}");
-        all_shared.extend(fa);
-        all_naive.extend(fb);
-    };
-
-    // t=0..2: alice dwells in room 0 (good readings, short of 4s).
-    for t in 0..=2 {
-        let r = reading(
-            0,
-            0,
-            Point::new(25.0, 50.0),
-            SimTime::from_secs(t as f64),
-            4.0,
-        );
-        drive(vec![AdapterOutput::single(r)], SimTime::from_secs(t as f64));
-    }
-
-    // t=3..8: the sensor starts emitting out-of-frame garbage. The
-    // supervisor racks up violations and quarantines it; its readings
-    // stop reaching fusion, alice's evidence ages out, the inner atom
-    // goes false on both twins at the same fuse.
-    for t in 3..=8 {
-        let r = reading(
-            0,
-            0,
-            Point::new(900.0, 900.0),
-            SimTime::from_secs(t as f64),
-            4.0,
-        );
-        drive(vec![AdapterOutput::single(r)], SimTime::from_secs(t as f64));
-    }
-
-    // t=20..26: the quarantine window has lapsed; healthy readings
-    // restart the dwell from zero. Whatever edge the clock produces,
-    // both engines must produce it identically (asserted in `drive`).
-    for t in 20..=26 {
-        let r = reading(
-            0,
-            0,
-            Point::new(25.0, 50.0),
-            SimTime::from_secs(t as f64),
-            30.0,
-        );
-        drive(vec![AdapterOutput::single(r)], SimTime::from_secs(t as f64));
-    }
-
-    assert_eq!(all_shared, all_naive);
-    // The healthy stretch is long enough that the dwell must complete.
-    assert!(
-        all_shared.iter().any(|n| n.subscription == a),
-        "dwell never fired after quarantine recovery: {all_shared:?}"
-    );
-}
-
-// --- dwell clocks under skipped (differential) re-evaluation -------------
-
-/// A dwell timer must mature across ingests whose inputs are bit-for-bit
-/// unchanged — exactly the ingests differential evaluation serves from
-/// its caches. The `Dwell` node itself is stateful (never cached), but
-/// its pure `InRegion` child is frontier-cached after the first
-/// identical fuse; the `rules.eval.skipped` counter proves those skips
-/// really happened while the clock still fired on time.
-#[test]
-fn dwell_matures_across_cache_served_ingests() {
+fn dwell_clock_resets_across_evidence_loss() {
     let broker = Broker::new();
-    let registry = MetricsRegistry::new();
-    let service = LocationService::new_with_tuning_and_obs(
-        floor_db(),
-        universe(),
-        &broker,
-        &registry,
-        ServiceTuning::default(), // differential_eval: true
-    );
-    let rule =
-        Rule::when(Predicate::in_region(room(0), 0.5).for_at_least(SimDuration::from_secs(4.0)))
-            .object("alice")
-            .build()
-            .unwrap();
-    let id = service.subscribe_rule(rule);
+    let service = LocationService::new(floor_db(), universe(), &broker);
+    let id = service.subscribe_rule(dwell_rule(6.0));
 
-    // t=0..3: the identical reading every second (long TTL, no temporal
-    // degradation) — every input the pure child reads is unchanged, so
-    // from t=1 on the child is served from the frontier cache. The
-    // clock must still accumulate.
-    for t in 0..=3 {
-        let r = reading(
-            0,
-            0,
-            Point::new(25.0, 50.0),
-            SimTime::from_secs(t as f64),
-            30.0,
-        );
-        let fired =
-            service.ingest_batch(vec![AdapterOutput::single(r)], SimTime::from_secs(t as f64));
+    // t=0..4: dwell accumulates but stays short of 6 seconds.
+    for t in 0..=4 {
+        let fired = alice_in_room0(&service, SimTime::from_secs(t as f64), 4.0);
         assert!(fired.is_empty(), "dwell fired early at t={t}: {fired:?}");
     }
 
-    // t=4: four continuous seconds — fires exactly once.
-    let r = reading(0, 0, Point::new(25.0, 50.0), SimTime::from_secs(4.0), 30.0);
-    let fired = service.ingest_batch(vec![AdapterOutput::single(r)], SimTime::from_secs(4.0));
-    assert_eq!(fired.len(), 1, "dwell should mature at t=4: {fired:?}");
+    // t=10: the TTL expired at t=8; the fuse sees no evidence, the
+    // inner atom goes false, the clock resets. (A batch with only a
+    // revocation still re-evaluates the object.)
+    let out = AdapterOutput {
+        readings: vec![],
+        revocations: vec![Revocation {
+            sensor_id: SENSORS[0].into(),
+            object: OBJECTS[0].into(),
+        }],
+    };
+    let fired = service.ingest_batch(vec![out], SimTime::from_secs(10.0));
+    assert!(
+        fired.is_empty(),
+        "dwell fired across evidence loss: {fired:?}"
+    );
+
+    // t=12, 14: 2 and 4 seconds of fresh dwell — must not fire.
+    for t in [12.0, 14.0] {
+        let fired = alice_in_room0(&service, SimTime::from_secs(t), 4.0);
+        assert!(
+            fired.is_empty(),
+            "dwell clock failed to reset: t={t} {fired:?}"
+        );
+    }
+
+    // t=18: 6 fresh continuous seconds since t=12 — fires exactly once.
+    let fired = alice_in_room0(&service, SimTime::from_secs(18.0), 4.0);
+    assert_eq!(
+        fired.len(),
+        1,
+        "dwell should fire once after 6 fresh seconds: {fired:?}"
+    );
     assert_eq!(fired[0].subscription, id);
 
-    // t=5: still inside — no re-fire.
-    let r = reading(0, 0, Point::new(25.0, 50.0), SimTime::from_secs(5.0), 30.0);
-    let fired = service.ingest_batch(vec![AdapterOutput::single(r)], SimTime::from_secs(5.0));
+    // Still inside: on-enter must not re-fire.
+    let fired = alice_in_room0(&service, SimTime::from_secs(20.0), 4.0);
     assert!(
         fired.is_empty(),
         "on-enter re-fired while dwelling: {fired:?}"
     );
-
-    // The timer matured *because of* skipped re-evaluation, not despite
-    // a silent fallback to full walks: the frontier cache was hit on
-    // the unchanged ingests.
-    let skipped = registry.counter("rules.eval.skipped").get();
-    assert!(
-        skipped >= 4,
-        "expected the pure dwell child to be cache-served on unchanged ingests, got {skipped} skips"
-    );
 }
 
-/// Quarantine-induced evidence loss mid-dwell must reset the clock
-/// identically with differential evaluation on and off: the quarantine
-/// changes the fused-evidence fingerprint, so the cached frontier is
-/// invalidated on exactly the fuse where the full walk sees the inner
-/// atom go false.
+/// Quarantine drops the sensor's readings before they reach the
+/// service, so no fuse of alice runs between t=2 and t=20, and none
+/// observes her evidence expiring at t=6: dwell clocks are observed at
+/// fuse times only (`Predicate::DwellFor`). The first healthy fuse, at
+/// t=20, therefore sees the dwell as held since t=0 and fires once; the
+/// later healthy fuses do not fire again.
 #[test]
-fn quarantine_mid_dwell_resets_identically_under_differential_eval() {
-    let differential = build_diff_supervised(true);
-    let full = build_diff_supervised(false);
-    let rule =
-        Rule::when(Predicate::in_region(room(0), 0.5).for_at_least(SimDuration::from_secs(4.0)))
-            .object("alice")
-            .build()
-            .unwrap();
-    let a = differential.subscribe_rule(rule.clone());
-    let b = full.subscribe_rule(rule);
-    assert_eq!(a, b);
+fn dwell_is_observed_only_at_fuses_across_quarantine() {
+    let broker = Broker::new();
+    let registry = MetricsRegistry::new();
+    let supervisor = SensorSupervisor::new(HealthConfig::new(universe())).shared();
+    let service =
+        LocationService::new_supervised(floor_db(), universe(), &broker, &registry, supervisor);
+    let id = service.subscribe_rule(dwell_rule(4.0));
 
-    let mut all: Vec<Notification> = Vec::new();
-    let mut drive = |outputs: Vec<AdapterOutput>, now: SimTime| {
-        let fa = differential.ingest_batch(outputs.clone(), now);
-        let fb = full.ingest_batch(outputs, now);
-        assert_eq!(fa, fb, "eval modes diverged at t={now:?}");
-        all.extend(fa);
+    let mut all = Vec::new();
+    let mut drive = |center: Point, t: u32, ttl: f64| {
+        let now = SimTime::from_secs(f64::from(t));
+        let r = reading(0, 0, center, now, ttl);
+        all.extend(service.ingest_batch(vec![AdapterOutput::single(r)], now));
     };
-
-    // t=0..2: dwell accumulates (short of 4 seconds).
+    // t=0..2: alice dwells in room 0 (good readings, short of 4s).
     for t in 0..=2 {
-        let r = reading(
-            0,
-            0,
-            Point::new(25.0, 50.0),
-            SimTime::from_secs(t as f64),
-            4.0,
-        );
-        drive(vec![AdapterOutput::single(r)], SimTime::from_secs(t as f64));
+        drive(Point::new(25.0, 50.0), t, 4.0);
     }
-    // t=3..8: out-of-frame garbage racks up violations until the sensor
-    // is quarantined; alice's evidence ages out mid-dwell and the clock
-    // must reset on the same fuse in both modes.
+    // t=3..8: the sensor emits out-of-frame garbage; the supervisor
+    // racks up violations and quarantines it.
     for t in 3..=8 {
-        let r = reading(
-            0,
-            0,
-            Point::new(900.0, 900.0),
-            SimTime::from_secs(t as f64),
-            4.0,
-        );
-        drive(vec![AdapterOutput::single(r)], SimTime::from_secs(t as f64));
+        drive(Point::new(900.0, 900.0), t, 4.0);
     }
-    // t=20..26: healthy readings after the quarantine window; the dwell
-    // restarts from zero and completes.
+    // t=20..26: healthy readings after the quarantine window.
     for t in 20..=26 {
-        let r = reading(
-            0,
-            0,
-            Point::new(25.0, 50.0),
-            SimTime::from_secs(t as f64),
-            30.0,
-        );
-        drive(vec![AdapterOutput::single(r)], SimTime::from_secs(t as f64));
+        drive(Point::new(25.0, 50.0), t, 30.0);
     }
 
+    let at: Vec<(SubscriptionId, SimTime)> = all.iter().map(|n| (n.subscription, n.at)).collect();
+    assert_eq!(at, vec![(id, SimTime::from_secs(20.0))]);
+}
+
+/// A dwell timer matures across ingests whose evidence is bit-for-bit
+/// unchanged: every fuse re-reads the same posterior, and the clock
+/// keeps advancing with `now`.
+#[test]
+fn dwell_matures_across_unchanged_evidence() {
+    let broker = Broker::new();
+    let service =
+        LocationService::new_with_tuning(floor_db(), universe(), &broker, ServiceTuning::default());
+    let id = service.subscribe_rule(dwell_rule(4.0));
+
+    // t=0..3: the identical reading every second (long TTL, no
+    // temporal degradation). The clock must accumulate.
+    for t in 0..=3 {
+        let fired = alice_in_room0(&service, SimTime::from_secs(t as f64), 30.0);
+        assert!(fired.is_empty(), "dwell fired early at t={t}: {fired:?}");
+    }
+
+    // t=4: four continuous seconds — fires exactly once.
+    let fired = alice_in_room0(&service, SimTime::from_secs(4.0), 30.0);
+    assert_eq!(fired.len(), 1, "dwell should mature at t=4: {fired:?}");
+    assert_eq!(fired[0].subscription, id);
+
+    // t=5: still inside — no re-fire.
+    let fired = alice_in_room0(&service, SimTime::from_secs(5.0), 30.0);
     assert!(
-        all.iter().any(|n| n.subscription == a),
-        "dwell never completed after quarantine recovery: {all:?}"
+        fired.is_empty(),
+        "on-enter re-fired while dwelling: {fired:?}"
     );
 }

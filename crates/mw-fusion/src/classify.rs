@@ -122,28 +122,6 @@ impl BandThresholds {
         }
     }
 
-    /// A fingerprint over the three threshold values (bit-exact). Two
-    /// thresholds with equal fingerprints classify every probability
-    /// identically — used by differential rule evaluation to detect
-    /// unchanged inputs.
-    #[must_use]
-    pub fn value_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut hash = OFFSET;
-        for word in [
-            self.min_p.to_bits(),
-            self.median_p.to_bits(),
-            self.max_p.to_bits(),
-        ] {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(PRIME);
-            }
-        }
-        hash
-    }
-
     /// The lower edge of the band (exclusive), useful for subscriptions
     /// asking "at least `band`".
     #[must_use]

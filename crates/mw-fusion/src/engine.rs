@@ -21,45 +21,6 @@ use crate::{BandThresholds, FusionError, NodeId, ProbabilityBand};
 /// runs without heap allocation (the bench gates this).
 const READINGS_INLINE: usize = 8;
 
-/// FNV-1a over 64-bit words — a deterministic, allocation-free value
-/// fingerprint (not a cryptographic hash; collisions merely cost one
-/// redundant rule re-evaluation, see DESIGN.md §15).
-#[derive(Clone, Copy)]
-struct Fnv64(u64);
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv64(Self::OFFSET)
-    }
-
-    fn word(&mut self, w: u64) {
-        let mut h = self.0;
-        for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-            h ^= (w >> shift) & 0xff;
-            h = h.wrapping_mul(Self::PRIME);
-        }
-        self.0 = h;
-    }
-
-    fn f64_bits(&mut self, v: f64) {
-        self.word(v.to_bits());
-    }
-
-    fn rect(&mut self, r: &Rect) {
-        self.f64_bits(r.min().x);
-        self.f64_bits(r.min().y);
-        self.f64_bits(r.max().x);
-        self.f64_bits(r.max().y);
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
 /// Metric handles updated by [`FusionEngine::fuse`], resolved once at
 /// [`FusionEngine::with_metrics`] time (names under `fusion.*`, see
 /// `DESIGN.md` §8).
@@ -126,24 +87,9 @@ pub struct FusionResult {
     thresholds: BandThresholds,
     kept_sensors: SmallBuf<SensorId, READINGS_INLINE>,
     discarded_sensors: SmallBuf<SensorId, READINGS_INLINE>,
-    /// FNV-1a fingerprint of the surviving evidence (universe, regions,
-    /// degraded hit probabilities, false positives). Two results with
-    /// equal fingerprints produce identical answers from every pure
-    /// read path (`region_probability_fast`, `evidence_window`,
-    /// `best_estimate`), which is what differential rule evaluation
-    /// keys its caches on.
-    fingerprint: u64,
 }
 
 impl FusionResult {
-    /// The evidence value fingerprint (see the field docs): equal
-    /// fingerprints ⇒ identical pure query answers. Used by
-    /// differential rule evaluation to detect "nothing changed".
-    #[must_use]
-    pub fn value_fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// Sensors whose readings survived conflict resolution and
     /// contributed evidence to the lattice.
     #[must_use]
@@ -427,18 +373,6 @@ impl FusionEngine {
             discarded_sensors.push(readings[live.as_slice()[k] as usize].sensor_id.clone());
         }
 
-        // Value fingerprint over exactly what every pure read path
-        // consumes: the universe and the surviving evidence.
-        let mut fnv = Fnv64::new();
-        fnv.rect(&self.universe);
-        fnv.word(evidence.len() as u64);
-        for e in evidence.as_slice() {
-            fnv.rect(&e.region);
-            fnv.f64_bits(e.hit);
-            fnv.f64_bits(e.false_positive);
-        }
-        let fingerprint = fnv.finish();
-
         let lattice = RegionLattice::build_from_buf(self.universe, evidence)
             .expect("engine universe has positive area");
         let result = FusionResult {
@@ -447,7 +381,6 @@ impl FusionEngine {
             thresholds,
             kept_sensors,
             discarded_sensors,
-            fingerprint,
         };
         if let Some(metrics) = &self.metrics {
             metrics.record(&result, started.elapsed());

@@ -73,15 +73,6 @@ impl SharedFusion {
         self.result().lattice()
     }
 
-    /// The underlying result's value fingerprint (see
-    /// [`FusionResult::value_fingerprint`]): equal fingerprints mean
-    /// every pure read (region probability, evidence window, best
-    /// estimate) answers identically.
-    #[must_use]
-    pub fn value_fingerprint(&self) -> u64 {
-        self.result().value_fingerprint()
-    }
-
     /// The §4.2 region-based query, without mutating anything: Equation 7
     /// evaluated directly against the surviving evidence. Bit-identical
     /// to `FusionResult::region_probability` (insert-then-read), which
