@@ -650,6 +650,17 @@ const CITY_RULE_LOAD_FLATNESS_MIN: f64 = 0.5;
 /// Fuse calls in the steady-state allocation probe.
 const FUSE_ALLOC_PROBES: usize = 1_000;
 
+/// `locate` probes per kind in the cache-miss allocation probe.
+const LOCATE_ALLOC_PROBES: usize = 200;
+
+/// Allocations per `locate` that fuses in full: the shared result and
+/// its boxed cache entry (measured 2; the readings are fused in place).
+const LOCATE_FULL_MISS_ALLOCS_MAX: f64 = 2.0;
+
+/// Allocations per `locate` that re-weights a cached fusion: the cloned
+/// result and its boxed cache entry (measured 2).
+const LOCATE_REWEIGHT_ALLOCS_MAX: f64 = 2.0;
+
 /// Repetitions of the timed phase-3 traffic mix per cell; the reported
 /// ingest rate is the best repetition. Single-pass rates on shared CI
 /// hosts are dominated by co-tenant noise bursts (3x swings observed
@@ -738,6 +749,59 @@ fn fuse_allocs_per_call() -> Option<f64> {
     }
     let after = heap::alloc_count().expect("heap_stats stays on");
     Some((after - before) as f64 / FUSE_ALLOC_PROBES as f64)
+}
+
+/// Allocations per service-level fusion-cache miss, via the counting
+/// global allocator, as `(full miss, re-weight)`. Each probe ingests a
+/// fresh reading (unmeasured; no rules, so ingest fuses nothing), then
+/// locates the object at two successive instants: the first finds no
+/// entry for the new epoch and fuses the shard's rows in full, the
+/// second re-weights that entry to the later instant. Both store a new
+/// shared result and its boxed cache entry, and `locate` resolves the
+/// fix symbolically. The gates pin the integer counts, so a per-miss
+/// copy of the readings cannot come back unseen. Returns `None`
+/// without the `heap_stats` feature.
+fn locate_miss_allocs() -> Option<(f64, f64)> {
+    let (svc, registry, _broker) = perf_service(ServiceTuning::default());
+    let object: mw_sensors::MobileObjectId = "alloc-probe".into();
+    let reading = |i: usize, at: SimTime| {
+        let mut r = ubisense_reading(
+            "alloc-probe",
+            Point::new(25.0 + (i % 3) as f64 * 2.0, 50.0 + (i % 3) as f64),
+            at,
+        );
+        r.sensor_id = format!("Ubi-lz-{}", i % 3).as_str().into();
+        r
+    };
+    let probe = |i: usize| -> Option<(usize, usize)> {
+        let t = 1.0 + i as f64;
+        svc.ingest_reading(reading(i, SimTime::from_secs(t)), SimTime::from_secs(t));
+        let before = heap::alloc_count()?;
+        std::hint::black_box(svc.locate(&object, SimTime::from_secs(t + 0.25)).ok());
+        let mid = heap::alloc_count()?;
+        std::hint::black_box(svc.locate(&object, SimTime::from_secs(t + 0.5)).ok());
+        let after = heap::alloc_count()?;
+        Some((mid - before, after - mid))
+    };
+    for i in 0..3 {
+        probe(i)?;
+    }
+    let (mut full, mut reweight) = (0usize, 0usize);
+    for i in 3..3 + LOCATE_ALLOC_PROBES {
+        let (f, r) = probe(i)?;
+        full += f;
+        reweight += r;
+    }
+    let reweights = registry.snapshot().counter("fusion.cache.reweights");
+    assert_eq!(
+        reweights,
+        Some((3 + LOCATE_ALLOC_PROBES) as u64),
+        "every second locate re-weights"
+    );
+    Some((
+        full as f64 / LOCATE_ALLOC_PROBES as f64,
+        reweight as f64 / LOCATE_ALLOC_PROBES as f64,
+    ))
 }
 
 /// One cell of the city matrix: build a city of `buildings` buildings,
@@ -1082,6 +1146,19 @@ fn city_scale_sweep() -> String {
              over {FUSE_ALLOC_PROBES} probed fuses (gate: exactly 0)"
         );
     }
+    // Allocations per service-level cache miss, full and re-weighted.
+    let locate_allocs = locate_miss_allocs();
+    if let Some((full, reweight)) = locate_allocs {
+        assert!(
+            full <= LOCATE_FULL_MISS_ALLOCS_MAX,
+            "a full-miss locate allocates {full} times (gate: <= {LOCATE_FULL_MISS_ALLOCS_MAX})"
+        );
+        assert!(
+            reweight <= LOCATE_REWEIGHT_ALLOCS_MAX,
+            "a re-weighting locate allocates {reweight} times \
+             (gate: <= {LOCATE_REWEIGHT_ALLOCS_MAX})"
+        );
+    }
     println!(
         "  gates: {:.0} B/object <= {CITY_BYTES_PER_OBJECT_MAX:.0}; ingest {:.0}/s >= \
          0.5 * {:.0}/s; candidates {cand_full:.1} <= 2 * {cand_low:.1}",
@@ -1102,6 +1179,16 @@ fn city_scale_sweep() -> String {
             |p| format!("{p}/fuse == 0")
         )
     );
+    println!(
+        "  gates: allocations per locate {}",
+        locate_allocs.map_or_else(
+            || "unmeasured (heap_stats off, gate skipped)".to_string(),
+            |(full, reweight)| format!(
+                "{full}/full miss <= {LOCATE_FULL_MISS_ALLOCS_MAX}, \
+                 {reweight}/re-weight <= {LOCATE_REWEIGHT_ALLOCS_MAX}"
+            )
+        )
+    );
     println!();
 
     format!(
@@ -1110,10 +1197,13 @@ fn city_scale_sweep() -> String {
          \"ingest_baseline_per_sec\": {CITY_INGEST_BASELINE:.0}, \
          \"ingest_speedup_min\": {CITY_INGEST_SPEEDUP_MIN}, \
          \"rule_load_flatness_min\": {CITY_RULE_LOAD_FLATNESS_MIN}, \
-         \"allocs_per_fuse\": {}, \"alloc_gate_enforced\": {alloc_gate}, \
+         \"allocs_per_fuse\": {}, \"allocs_per_locate_full_miss\": {}, \
+         \"allocs_per_locate_reweight\": {}, \"alloc_gate_enforced\": {alloc_gate}, \
          \"heap_stats\": {}, \"gate_enforced\": true, \
          \"gate_skipped_reason\": null, \"host_cores\": {}, \"rows\": [\n{json_rows}\n  ]}}",
         allocs_per_fuse.map_or_else(|| "null".to_string(), |p| format!("{p}")),
+        locate_allocs.map_or_else(|| "null".to_string(), |(full, _)| format!("{full}")),
+        locate_allocs.map_or_else(|| "null".to_string(), |(_, rw)| format!("{rw}")),
         cfg!(feature = "heap_stats"),
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     )

@@ -64,6 +64,7 @@
 //! after a stateful node's clock has run gets a private copy of that
 //! node (pure subtrees stay shared) so its clocks start fresh.
 
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -731,6 +732,9 @@ pub(crate) struct EvalInput<'a> {
     /// The fusion universe — the region of last resort for payloads.
     pub fallback_region: Rect,
     pub thresholds: &'a BandThresholds,
+    /// The evaluated object's own fix for `CoLocated` atoms, resolved
+    /// from `fusion` — called at most once per evaluation.
+    pub own_fix: &'a dyn Fn() -> Option<LocationFix>,
     pub now: SimTime,
 }
 
@@ -880,9 +884,10 @@ impl EvalScratch {
 
 /// Read-only inputs threaded through one object's node walk.
 struct EvalCtx<'a, 'b> {
-    object: &'a MobileObjectId,
     obj: u32,
     input: &'a EvalInput<'b>,
+    /// `input.own_fix`, once a `CoLocated` atom has asked for it.
+    own_fix: OnceCell<Option<LocationFix>>,
     partner: &'a dyn Fn(&MobileObjectId) -> Option<LocationFix>,
 }
 
@@ -1277,9 +1282,9 @@ impl RuleEngine {
     ) -> ObjectEvaluation {
         scratch.begin(self.nodes.len());
         let ctx = EvalCtx {
-            object,
             obj: self.idents.intern(object.as_str()),
             input,
+            own_fix: OnceCell::new(),
             partner,
         };
         let mut fx = EvalSideEffects {
@@ -1357,9 +1362,10 @@ impl RuleEngine {
             NodeKind::CoLocated { with, granularity } => {
                 fx.atoms += 1;
                 let own_region = input.estimate.unwrap_or(input.fallback_region);
-                match ((ctx.partner)(ctx.object), (ctx.partner)(with)) {
+                let own = ctx.own_fix.get_or_init(|| (input.own_fix)());
+                match (own, (ctx.partner)(with)) {
                     (Some(a), Some(b)) => {
-                        let co = relations::co_location(&a, &b, *granularity);
+                        let co = relations::co_location(a, &b, *granularity);
                         NodeVal {
                             truth: co.co_located,
                             probability: co.probability,

@@ -8,13 +8,14 @@
 // path. Don't "fix" them into borrowed forms: they cross an ownership
 // boundary (bus frame, error value) that must outlive the guard the
 // borrow would come from.
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use mw_bus::{Broker, Publisher};
-use mw_fusion::{BandThresholds, FusionEngine, FusionResult, SharedFusion};
+use mw_fusion::{BandThresholds, Estimate, FusionEngine, FusionResult, SharedFusion};
 use mw_geometry::Rect;
 use mw_model::{Confidence, SimDuration, SimTime, TemporalDegradation};
 use mw_obs::MetricsRegistry;
@@ -69,9 +70,11 @@ impl Default for ServiceTuning {
     }
 }
 
-/// One cached fusion pass. Valid only while every key field still
-/// matches; any mismatch is a miss and the entry is overwritten by the
-/// next fresh fuse.
+/// One cached fusion pass. An exact hit needs every key field to
+/// match; an entry with the same epoch and `excluded_key` but another
+/// `now` can still be re-weighted to the new instant
+/// ([`FusionEngine::reweight`]). Anything else is a full fuse, and the
+/// entry is overwritten by the next store.
 #[derive(Debug)]
 struct CachedFusion {
     /// The object's reading-set epoch when this was computed.
@@ -79,14 +82,45 @@ struct CachedFusion {
     /// Exact query time. Keying on the exact time (not a coarse bucket)
     /// keeps cached answers bit-identical to fresh fusion — temporal
     /// degradation and freshness-window (TTL) expiry depend continuously
-    /// on `now`, so any other `now` must recompute.
+    /// on `now`, so any other `now` must re-weight or recompute.
     now: SimTime,
     /// Fingerprint of the supervisor's excluded-sensor set, so a
     /// quarantine transition between queries invalidates by key.
     excluded_key: u64,
+    /// The live view `result` was fused from, as a mask over the
+    /// object's rows (`None` past 64 rows: never re-weighted). The rows
+    /// change only in [`Shard::apply_ops`], which bumps the epoch, so
+    /// under an equal epoch the same bits name the same readings.
+    live_mask: Option<u64>,
     result: Arc<FusionResult>,
+    /// [`Fused::total`] and [`Fused::used`], as `u32` so the boxed entry
+    /// (one per cached object) stays at 56 bytes with the mask.
+    total: u32,
+    used: u32,
+}
+
+/// How [`ShardState::fuse`] answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FuseKind {
+    /// The cached result, same instant.
+    Hit,
+    /// The cached result re-weighted to a new instant.
+    Reweight,
+    /// A full fuse of the object's rows.
+    Full,
+}
+
+/// One fusion pass from [`ShardState::fuse`], with what a miss stores.
+struct Fused {
+    kind: FuseKind,
+    result: Arc<FusionResult>,
+    /// Live (unexpired) readings the shard held for the object.
     total: usize,
+    /// Of those, readings from non-excluded sensors.
     used: usize,
+    /// The epoch the rows were read under.
+    epoch: u64,
+    live_mask: Option<u64>,
 }
 
 /// The mutable, per-object slice of service state. Objects hash to one
@@ -171,20 +205,74 @@ impl ShardState {
         self.slot(object).map_or(0, |s| self.epochs[s])
     }
 
-    /// A valid cached fusion for `(object, now, excluded_key)`, checked
-    /// against the object's current epoch.
-    fn cached(
+    /// The cache entry in `slot`, if it was fused from the object's
+    /// current rows under the same excluded-sensor set (at any instant).
+    fn cache_entry(&self, slot: usize, excluded_key: u64) -> Option<&CachedFusion> {
+        self.caches[slot]
+            .as_deref()
+            .filter(|c| c.epoch == self.epochs[slot] && c.excluded_key == excluded_key)
+    }
+
+    /// One fusion pass over the object's rows at `now`, fused in place
+    /// (the caller holds this shard's read lock). In order: an exact
+    /// cache hit; a re-weight of a same-epoch entry from another
+    /// instant; a full fuse. `cache` off skips the first two. Each miss
+    /// reads the rows once (`db.live_queries`).
+    fn fuse(
         &self,
         object: &MobileObjectId,
         now: SimTime,
+        excluded: &HashSet<SensorId>,
         excluded_key: u64,
-    ) -> Option<(Arc<FusionResult>, usize, usize)> {
-        let slot = self.slot(object)?;
-        let cached = self.caches[slot].as_deref()?;
-        (cached.epoch == self.epochs[slot]
-            && cached.now == now
-            && cached.excluded_key == excluded_key)
-            .then(|| (Arc::clone(&cached.result), cached.total, cached.used))
+        engine: &FusionEngine,
+        cache: bool,
+    ) -> Fused {
+        // One slot lookup serves the epoch and the cache entry.
+        let slot = self.slot(object);
+        let epoch = slot.map_or(0, |s| self.epochs[s]);
+        let entry = slot
+            .filter(|_| cache)
+            .and_then(|s| self.cache_entry(s, excluded_key));
+        if let Some(c) = entry.filter(|c| c.now == now) {
+            return Fused {
+                kind: FuseKind::Hit,
+                result: Arc::clone(&c.result),
+                total: c.total as usize,
+                used: c.used as usize,
+                epoch,
+                live_mask: c.live_mask,
+            };
+        }
+        let rows = self.readings.rows_for(object);
+        let (mut total, mut used) = (0, 0);
+        for r in rows {
+            let r: &SensorReading = r.borrow();
+            if !r.is_expired(now) {
+                total += 1;
+                used += usize::from(!excluded.contains(&r.sensor_id));
+            }
+        }
+        let reweighted = entry.and_then(|c| {
+            let mask = c.live_mask?;
+            engine
+                .reweight(&c.result, mask, rows, now, excluded)
+                .map(|result| (result, mask))
+        });
+        let (kind, result, live_mask) = match reweighted {
+            Some((result, mask)) => (FuseKind::Reweight, result, Some(mask)),
+            None => {
+                let (result, mask) = engine.fuse_with_live_mask(rows, now, excluded);
+                (FuseKind::Full, result, mask)
+            }
+        };
+        Fused {
+            kind,
+            result: Arc::new(result),
+            total,
+            used,
+            epoch,
+            live_mask,
+        }
     }
 
     /// Structural heap estimate of the per-object bookkeeping, feeding
@@ -384,26 +472,6 @@ impl Shard {
         }
     }
 
-    /// Looks up a valid cached fusion for `(object, now, excluded)`.
-    fn cached_fusion(
-        &self,
-        object: &MobileObjectId,
-        now: SimTime,
-        excluded_key: u64,
-    ) -> Option<(Arc<FusionResult>, usize, usize)> {
-        self.read().cached(object, now, excluded_key)
-    }
-
-    /// Copies the object's live readings (and the epoch they were read
-    /// under) out of the shard, so fusion runs outside any lock.
-    fn live_readings(&self, object: &MobileObjectId, now: SimTime) -> (Vec<SensorReading>, u64) {
-        let state = self.read();
-        (
-            state.readings.live_readings_for(object, now),
-            state.epoch_of(object),
-        )
-    }
-
     /// Stores a fusion result in the cache — only if no ingest raced
     /// past the epoch it was computed under (a stale entry would be a
     /// correctness bug, a skipped store merely a future miss).
@@ -494,10 +562,8 @@ fn shard_of(object: &MobileObjectId, shards: usize) -> usize {
 }
 
 /// Order-insensitive fingerprint of the excluded-sensor set for the
-/// fusion-cache key (`None` and the empty set share key 0 — both mean
-/// "fuse everything").
-fn excluded_fingerprint(excluded: Option<&HashSet<SensorId>>) -> u64 {
-    let Some(excluded) = excluded else { return 0 };
+/// fusion-cache key (the empty set, "fuse everything", is key 0).
+fn excluded_fingerprint(excluded: &HashSet<SensorId>) -> u64 {
     let mut combined = 0u64;
     for sensor in excluded {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -637,6 +703,7 @@ struct CoreMetrics {
     subscriptions_active: mw_obs::Gauge,
     cache_hits: mw_obs::Counter,
     cache_misses: mw_obs::Counter,
+    cache_reweights: mw_obs::Counter,
     cache_invalidations: mw_obs::Counter,
     rules_dag_nodes: mw_obs::Gauge,
     rules_dag_groups: mw_obs::Gauge,
@@ -667,6 +734,7 @@ impl CoreMetrics {
             subscriptions_active: registry.gauge("core.subscriptions.active"),
             cache_hits: registry.counter("fusion.cache.hits"),
             cache_misses: registry.counter("fusion.cache.misses"),
+            cache_reweights: registry.counter("fusion.cache.reweights"),
             cache_invalidations: registry.counter("fusion.cache.invalidations"),
             rules_dag_nodes: registry.gauge("rules.dag.nodes"),
             rules_dag_groups: registry.gauge("rules.dag.groups"),
@@ -1441,9 +1509,10 @@ impl LocationService {
 
     /// One fusion pass over the object's live readings, served from the
     /// shard's epoch-versioned cache when the reading set, query time and
-    /// excluded-sensor set all match a previous pass — bit-identical to
-    /// fusing fresh (the cache key admits no approximation; see
-    /// `DESIGN.md` §10).
+    /// excluded-sensor set all match a previous pass, re-weighted from
+    /// the cached pass when only the query time moved, and fused in full
+    /// otherwise — bit-identical to fusing fresh in every case (the
+    /// cache admits no approximation; see `DESIGN.md` §10).
     ///
     /// On a supervised service, quarantined sensors are excluded from
     /// fusion. When `feedback` is set (the query path), conflict
@@ -1454,64 +1523,51 @@ impl LocationService {
     /// counters stay deterministic (unchanged from the pre-cache
     /// behaviour).
     fn fuse_live(&self, object: &MobileObjectId, now: SimTime, feedback: bool) -> FuseAttempt {
-        let excluded: Option<HashSet<SensorId>> = self
+        let excluded: HashSet<SensorId> = self
             .supervisor
             .as_ref()
-            .map(|s| s.lock().expect("supervisor lock poisoned").excluded());
-        let excluded_key = excluded_fingerprint(excluded.as_ref());
+            .map(|s| s.lock().expect("supervisor lock poisoned").excluded())
+            .unwrap_or_default();
+        let excluded_key = excluded_fingerprint(&excluded);
         let shard = self.shard(object);
-
-        if self.tuning.fusion_cache {
-            if let Some((result, total, used)) = shard.cached_fusion(object, now, excluded_key) {
-                let attempt = FuseAttempt {
-                    result: SharedFusion::new(result),
-                    total,
-                    used,
-                };
-                if let Some(metrics) = &self.metrics {
-                    metrics.cache_hits.inc();
+        // Fused under the shard's read lock, from its rows in place: a
+        // writer waits for one lattice build, and no reading is copied.
+        let fused = shard.read().fuse(
+            object,
+            now,
+            &excluded,
+            excluded_key,
+            &self.engine,
+            self.tuning.fusion_cache,
+        );
+        if let Some(metrics) = &self.metrics {
+            match fused.kind {
+                FuseKind::Hit => metrics.cache_hits.inc(),
+                FuseKind::Reweight => {
+                    metrics.cache_misses.inc();
+                    metrics.cache_reweights.inc();
                 }
-                self.conflict_feedback(&attempt, now, feedback);
-                return attempt;
+                FuseKind::Full => metrics.cache_misses.inc(),
             }
         }
-
-        // Miss: copy the readings (and the epoch they were read under)
-        // out of the shard, then fuse outside the lock so a slow lattice
-        // build never blocks the shard.
-        let (readings, epoch) = shard.live_readings(object, now);
-        let total = readings.len();
-        let (result, used) = match &excluded {
-            Some(excluded) => {
-                let used = readings
-                    .iter()
-                    .filter(|r| !excluded.contains(&r.sensor_id))
-                    .count();
-                (self.engine.fuse_excluding(&readings, now, excluded), used)
-            }
-            None => (self.engine.fuse(&readings, now), total),
-        };
-        let result = Arc::new(result);
-        if self.tuning.fusion_cache {
+        if self.tuning.fusion_cache && fused.kind != FuseKind::Hit {
             shard.store_fusion(
                 object,
                 CachedFusion {
-                    epoch,
+                    epoch: fused.epoch,
                     now,
                     excluded_key,
-                    result: Arc::clone(&result),
-                    total,
-                    used,
+                    live_mask: fused.live_mask,
+                    result: Arc::clone(&fused.result),
+                    total: u32::try_from(fused.total).expect("reading count overflow"),
+                    used: u32::try_from(fused.used).expect("reading count overflow"),
                 },
             );
         }
-        if let Some(metrics) = &self.metrics {
-            metrics.cache_misses.inc();
-        }
         let attempt = FuseAttempt {
-            result: SharedFusion::new(result),
-            total,
-            used,
+            result: SharedFusion::new(fused.result),
+            total: fused.total,
+            used: fused.used,
         };
         self.conflict_feedback(&attempt, now, feedback);
         attempt
@@ -1573,35 +1629,9 @@ impl LocationService {
                 .ok_or_else(|| CoreError::NoLocation {
                     object: object.to_string(),
                 })?;
-        let world = self.world_snapshot();
-        let mut symbolic = world.symbolic_for_rect(&estimate.region);
-        let mut region = estimate.region;
-        // Privacy (§4.5): truncate the symbolic location and coarsen the
-        // coordinate estimate to the revealed region's rectangle.
-        let shard = self.shard(object);
-        let max_depth = shard.privacy_of(object);
-        if let Some(max_depth) = max_depth {
-            if let Some(glob) = symbolic.take() {
-                let truncated = glob.truncated(max_depth);
-                if let Ok(rect) = world.region_rect(&truncated.to_string()) {
-                    region = rect;
-                }
-                symbolic = Some(truncated);
-            } else {
-                // No symbolic resolution: reveal the whole universe.
-                region = self.engine.universe();
-            }
-        }
-        let fix = LocationFix {
-            object: object.clone(),
-            region,
-            probability: estimate.probability,
-            band: self.band_thresholds().classify(estimate.probability),
-            symbolic,
-            at: now,
-        };
+        let fix = self.resolve_fix(object, &estimate, now, &self.band_thresholds());
         if self.supervisor.is_some() {
-            shard.record_last_good(object, fix.clone());
+            self.shard(object).record_last_good(object, fix.clone());
         }
         Ok((fix, attempt.quality()))
     }
@@ -2044,7 +2074,7 @@ impl LocationService {
         // Quarantined sensors are excluded here too; conflict feedback is
         // left to the query path so health counters stay deterministic.
         let attempt = self.fuse_live(object, now, false);
-        let result = attempt.result;
+        let result = &attempt.result;
         // Candidates: trigger groups whose interest rects intersect the
         // surviving evidence (interest-grid pruned, one query per
         // evidence rect — NOT their union MBR, which would sweep every
@@ -2088,15 +2118,17 @@ impl LocationService {
             let thresholds = self.band_thresholds();
             let estimate = result.result().best_estimate().map(|e| e.region);
             let position = estimate.map(|r| r.center());
+            let own_fix = || self.rule_fix(object, &attempt, now, &thresholds);
             let input = EvalInput {
-                fusion: &result,
+                fusion: result,
                 position,
                 estimate,
                 fallback_region: self.engine.universe(),
                 thresholds: &thresholds,
+                own_fix: &own_fix,
                 now,
             };
-            let partner = |other: &MobileObjectId| self.rule_partner_fix(other, now);
+            let partner = |other: &MobileObjectId| self.rule_partner_fix(other, now, &thresholds);
             let evaluation = SCRATCH.with(|scratch| {
                 rules.evaluate(
                     object,
@@ -2120,17 +2152,46 @@ impl LocationService {
     /// quarantine check, best estimate, symbolic resolution, privacy
     /// truncation — without recording a last-known-good fix, so rule
     /// evaluation never perturbs the degradation ladder's state.
-    fn rule_partner_fix(&self, object: &MobileObjectId, now: SimTime) -> Option<LocationFix> {
-        let attempt = self.fuse_live(object, now, false);
+    fn rule_partner_fix(
+        &self,
+        object: &MobileObjectId,
+        now: SimTime,
+        thresholds: &BandThresholds,
+    ) -> Option<LocationFix> {
+        self.rule_fix(object, &self.fuse_live(object, now, false), now, thresholds)
+    }
+
+    /// [`rule_partner_fix`](LocationService::rule_partner_fix) from an
+    /// existing fusion pass — how the evaluated object's own
+    /// co-location fix is built from the pass its rules already read.
+    fn rule_fix(
+        &self,
+        object: &MobileObjectId,
+        attempt: &FuseAttempt,
+        now: SimTime,
+        thresholds: &BandThresholds,
+    ) -> Option<LocationFix> {
         if attempt.total > 0 && attempt.used == 0 {
             return None;
         }
         let estimate = attempt.result.result().best_estimate()?;
+        Some(self.resolve_fix(object, &estimate, now, thresholds))
+    }
+
+    /// An estimate as a [`LocationFix`]: symbolic resolution, then
+    /// privacy truncation (§4.5), which coarsens the region to the
+    /// revealed symbolic region's rectangle.
+    fn resolve_fix(
+        &self,
+        object: &MobileObjectId,
+        estimate: &Estimate,
+        now: SimTime,
+        thresholds: &BandThresholds,
+    ) -> LocationFix {
         let world = self.world_snapshot();
         let mut symbolic = world.symbolic_for_rect(&estimate.region);
         let mut region = estimate.region;
-        let shard = self.shard(object);
-        if let Some(max_depth) = shard.privacy_of(object) {
+        if let Some(max_depth) = self.shard(object).privacy_of(object) {
             if let Some(glob) = symbolic.take() {
                 let truncated = glob.truncated(max_depth);
                 if let Ok(rect) = world.region_rect(&truncated.to_string()) {
@@ -2138,17 +2199,18 @@ impl LocationService {
                 }
                 symbolic = Some(truncated);
             } else {
+                // No symbolic resolution: reveal the whole universe.
                 region = self.engine.universe();
             }
         }
-        Some(LocationFix {
+        LocationFix {
             object: object.clone(),
             region,
             probability: estimate.probability,
-            band: self.band_thresholds().classify(estimate.probability),
+            band: thresholds.classify(estimate.probability),
             symbolic,
             at: now,
-        })
+        }
     }
 
     /// The stateful half: fold one object's group evaluations into the
@@ -3415,6 +3477,49 @@ mod tests {
         assert_eq!(who_is_in(&svc, "CS/Floor3/3105", 1.0), vec!["alice".into()]);
     }
 
+    /// One boxed entry per cached object (20 000 in `city_batch`): the
+    /// row mask fits in the bytes the `u32` counts gave up.
+    #[test]
+    fn cache_entry_stays_at_56_bytes() {
+        assert_eq!(std::mem::size_of::<CachedFusion>(), 56);
+    }
+
+    /// A re-weight clones the cached result and stores the clone: an
+    /// `Arc` a reader already holds keeps its own instant's posteriors.
+    #[test]
+    fn reweight_leaves_the_shared_result_untouched() {
+        let broker = Broker::new();
+        let registry = MetricsRegistry::new();
+        let svc = LocationService::new_with_obs(
+            sample_db(),
+            rect(0.0, 0.0, 500.0, 100.0),
+            &broker,
+            &registry,
+        );
+        let mut decaying = reading("alice", rect(339.0, 9.0, 341.0, 11.0), 0.0);
+        decaying.tdf = TemporalDegradation::ExponentialHalfLife {
+            half_life: SimDuration::from_secs(10.0),
+        };
+        svc.ingest_reading(decaying, SimTime::ZERO);
+        let alice: MobileObjectId = "alice".into();
+        let cached = || {
+            let state = svc.shard(&alice).read();
+            let slot = state.slot(&alice).expect("tracked");
+            Arc::clone(&state.cache_entry(slot, 0).expect("cached").result)
+        };
+        let early = svc.locate(&alice, SimTime::from_secs(1.0)).unwrap();
+        let held = cached();
+        let snapshot = format!("{held:?}");
+        let late = svc.locate(&alice, SimTime::from_secs(5.0)).unwrap();
+        assert_eq!(
+            registry.snapshot().counter("fusion.cache.reweights"),
+            Some(1)
+        );
+        assert!(late.probability < early.probability);
+        assert!(!Arc::ptr_eq(&held, &cached()));
+        assert_eq!(format!("{held:?}"), snapshot);
+    }
+
     #[test]
     fn cache_miss_fusion_store_does_not_rebuild_the_snapshot() {
         let (svc, _broker) = service();
@@ -3430,11 +3535,12 @@ mod tests {
         let epoch = svc.object_epoch(&"alice".into());
         svc.locate(&"alice".into(), SimTime::from_secs(2.0))
             .unwrap();
-        assert!(svc
-            .shard(&"alice".into())
-            .read()
-            .cached(&"alice".into(), SimTime::from_secs(2.0), 0)
-            .is_some());
+        let state = svc.shard(&"alice".into()).read();
+        let slot = state.slot(&"alice".into()).expect("tracked");
+        assert!(state
+            .cache_entry(slot, 0)
+            .is_some_and(|c| c.now == SimTime::from_secs(2.0)));
+        drop(state);
         assert_eq!(svc.object_epoch(&"alice".into()), epoch);
         assert_eq!(occupancy_versions(&svc, "alice"), (Some(1), 1));
         assert_eq!(who_is_in(&svc, "CS/Floor3/3105", 2.0), vec!["alice".into()]);

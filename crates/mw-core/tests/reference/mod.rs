@@ -28,7 +28,7 @@
 //! admitted one by one in arrival order, the supervisor ticks once per
 //! batch, and quarantined sensors are left out of every fuse.
 
-// Two test crates include this module and each uses part of it.
+// Several test crates include this module and each uses part of it.
 #![allow(dead_code)]
 
 use std::collections::{BTreeMap, HashSet};
@@ -176,6 +176,13 @@ impl Reference {
             next_rule: 0,
             rules: BTreeMap::new(),
         }
+    }
+
+    /// The model of a service built over `engine` (e.g. with aging
+    /// inflation) instead of a plain one over the universe.
+    pub fn with_engine(mut self, engine: FusionEngine) -> Self {
+        self.engine = engine;
+        self
     }
 
     /// The model of a supervised service with the default
@@ -393,10 +400,17 @@ impl Reference {
         (fused, live.len(), used)
     }
 
-    /// The query path's fuse: `None` when the object has no live reading.
-    fn fuse(&self, object: &str, now: SimTime) -> Option<FusionResult> {
-        let (fused, total, _) = self.fuse_live(object, now);
-        (total > 0).then_some(fused)
+    /// The query path's fuse and its quality rung: `None` when no live
+    /// reading comes from a non-quarantined sensor, `Partial` when some
+    /// live reading was left out.
+    fn fuse(&self, object: &str, now: SimTime) -> Option<(FusionResult, AnswerQuality)> {
+        let (fused, total, used) = self.fuse_live(object, now);
+        let quality = if used < total {
+            AnswerQuality::Partial
+        } else {
+            AnswerQuality::Full
+        };
+        (used > 0).then_some((fused, quality))
     }
 
     /// `estimate` symbolically resolved and privacy-truncated (§4.5).
@@ -440,14 +454,14 @@ impl Reference {
     /// `query(LocationQuery::of(object).in_rect(rect).at(now))`.
     pub fn query_rect(&mut self, object: &str, rect: Rect, now: SimTime) -> Answer {
         match self.fuse(object, now) {
-            Some(mut result) => {
+            Some((mut result, quality)) => {
                 let p = result
                     .region_probability(rect)
                     .expect("query rect inserts into the lattice");
                 Answer::Probability {
                     p,
                     band: self.thresholds().classify(p),
-                    quality: AnswerQuality::Full,
+                    quality,
                 }
             }
             None => self.last_known(object, now, Some(rect)),
@@ -457,14 +471,17 @@ impl Reference {
     /// `query(LocationQuery::of(object).at(now))`: the best estimate,
     /// symbolically resolved and privacy-truncated.
     pub fn locate(&mut self, object: &str, now: SimTime) -> Answer {
-        let Some(estimate) = self.fuse(object, now).and_then(|r| r.best_estimate()) else {
+        let Some((estimate, quality)) = self
+            .fuse(object, now)
+            .and_then(|(r, quality)| Some((r.best_estimate()?, quality)))
+        else {
             return self.last_known(object, now, None);
         };
         let fix = self.resolve(object, estimate.region, estimate.probability, now);
         if self.degradation.is_some() {
             self.last_good.insert(object.to_owned(), fix.clone());
         }
-        Answer::Fix(fix, AnswerQuality::Full)
+        Answer::Fix(fix, quality)
     }
 
     /// The last-known-good rung: the cached fix aged by the policy, as a

@@ -18,6 +18,8 @@
 //! component labels, work stack and survivor sets all live in inline
 //! [`SmallBuf`]s, spilling to the heap only for unusually crowded objects.
 
+use std::borrow::Borrow;
+
 use mw_geometry::{Point, Rect};
 use mw_sensors::SensorReading;
 
@@ -40,7 +42,7 @@ pub enum ConflictRule {
 const READINGS_INLINE: usize = 8;
 
 /// The outcome of conflict resolution over one object's readings.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConflictOutcome {
     /// Indices (into the input slice) of the surviving readings,
     /// ascending.
@@ -89,9 +91,12 @@ pub fn resolve(
 /// an owned filtered `Vec`. The returned indices refer to positions in
 /// `live`/`regions` (i.e. the filtered view), matching the historical
 /// behavior where the outcome indexed the filtered reading list.
+///
+/// `readings` may be owned readings or borrowed rows (the Location
+/// Service passes its shard's boxed rows in place).
 #[must_use]
-pub fn resolve_subset(
-    readings: &[SensorReading],
+pub fn resolve_subset<R: Borrow<SensorReading>>(
+    readings: &[R],
     live: &[u32],
     regions: &[Rect],
     universe: &Rect,
@@ -152,7 +157,7 @@ pub fn resolve_subset(
     let mut moving_count = 0u32;
     let mut single_moving = 0u32;
     for (k, &ri) in live.iter().enumerate() {
-        if readings[ri as usize].moving {
+        if readings[ri as usize].borrow().moving {
             let g = comp.as_slice()[k];
             if !is_moving.as_slice()[g as usize] {
                 is_moving.as_mut_slice()[g as usize] = true;
@@ -188,7 +193,7 @@ pub fn resolve_subset(
                 if comp.as_slice()[k] != g {
                     continue;
                 }
-                let r = &readings[ri as usize];
+                let r: &SensorReading = readings[ri as usize].borrow();
                 let e = SensorEvidence::new(
                     regions[k],
                     r.hit_probability_at(now),

@@ -1,6 +1,7 @@
 //! The fusion engine: the end-to-end pipeline of §4.1–§4.4 for one
 //! object's readings.
 
+use std::borrow::Borrow;
 use std::collections::HashSet;
 
 use mw_geometry::Rect;
@@ -201,6 +202,12 @@ impl FusionResult {
     }
 }
 
+/// The live view as a row mask over `rows` input rows; `None` when the
+/// rows do not fit in 64 bits.
+fn live_mask(live: &[u32], rows: usize) -> Option<u64> {
+    (rows <= 64).then(|| live.iter().fold(0u64, |mask, &i| mask | 1 << i))
+}
+
 /// The multi-sensor fusion engine for a deployment with a fixed universe
 /// (the whole floor/building area, `U` in the paper).
 #[derive(Debug, Clone)]
@@ -304,35 +311,38 @@ impl FusionEngine {
     /// the fused picture while their earlier (pre-quarantine) readings
     /// may still be live in the spatial database.
     ///
+    /// `readings` may be owned readings or borrowed rows (the Location
+    /// Service fuses its shard's rows in place); expired rows are
+    /// dropped here, so callers need not filter them.
+    ///
     /// # Panics
     ///
     /// Panics if the engine was constructed with a zero-area universe
     /// (prevented by [`FusionEngine::new`] callers in this workspace).
     #[must_use]
-    pub fn fuse_excluding(
+    pub fn fuse_excluding<R: Borrow<SensorReading>>(
         &self,
-        readings: &[SensorReading],
+        readings: &[R],
         now: SimTime,
         quarantined: &HashSet<SensorId>,
     ) -> FusionResult {
+        self.fuse_with_live_mask(readings, now, quarantined).0
+    }
+
+    /// [`FusionEngine::fuse_excluding`], plus the live view it fused as
+    /// a row mask (bit `i` set when `readings[i]` was live) — the token
+    /// [`FusionEngine::reweight`] checks. `None` over 64 rows.
+    #[must_use]
+    pub fn fuse_with_live_mask<R: Borrow<SensorReading>>(
+        &self,
+        readings: &[R],
+        now: SimTime,
+        quarantined: &HashSet<SensorId>,
+    ) -> (FusionResult, Option<u64>) {
         let started = std::time::Instant::now();
         // 1. Keep only live readings from non-quarantined sensors,
-        //    applying the aging motion model. Indices into `readings`
-        //    plus a parallel aged-region buffer replace the historical
-        //    owned filtered `Vec` — no cloning, no allocation.
-        let mut live: SmallBuf<u32, READINGS_INLINE> = SmallBuf::default();
-        let mut aged: SmallBuf<Rect, READINGS_INLINE> =
-            SmallBuf::filled(&Rect::from_point(Point::ORIGIN));
-        #[allow(clippy::cast_possible_truncation)]
-        for (i, r) in readings.iter().enumerate() {
-            if !quarantined.contains(&r.sensor_id)
-                && !r.is_expired(now)
-                && r.hit_probability_at(now) > 0.0
-            {
-                live.push(i as u32);
-                aged.push(self.aged_region(r, now));
-            }
-        }
+        //    applying the aging motion model.
+        let (live, aged) = self.live_view(readings, now, quarantined);
 
         // 2. Conflict resolution between disjoint components. Outcome
         //    indices refer to positions in the `live` view, exactly as
@@ -350,12 +360,8 @@ impl FusionEngine {
         let mut evidence: SmallBuf<SensorEvidence, READINGS_INLINE> = SmallBuf::default();
         let mut ps: SmallBuf<f64, READINGS_INLINE> = SmallBuf::default();
         for &k in conflict.kept.as_slice() {
-            let r = &readings[live.as_slice()[k] as usize];
-            evidence.push(SensorEvidence::new(
-                aged.as_slice()[k],
-                r.hit_probability_at(now),
-                r.false_positive_probability(self.universe.area()),
-            ));
+            let r: &SensorReading = readings[live.as_slice()[k] as usize].borrow();
+            evidence.push(self.evidence(r, aged.as_slice()[k], now));
             ps.push(r.spec.hit_probability());
         }
         let thresholds = BandThresholds::from_sensor_accuracies(ps.as_slice());
@@ -364,13 +370,19 @@ impl FusionEngine {
         // inline buffers are pre-filled from one shared empty id.
         static EMPTY_ID: std::sync::OnceLock<SensorId> = std::sync::OnceLock::new();
         let empty_id = EMPTY_ID.get_or_init(|| SensorId::from(""));
+        let sensor_of = |k: usize| {
+            readings[live.as_slice()[k] as usize]
+                .borrow()
+                .sensor_id
+                .clone()
+        };
         let mut kept_sensors: SmallBuf<SensorId, READINGS_INLINE> = SmallBuf::filled(empty_id);
         for &k in conflict.kept.as_slice() {
-            kept_sensors.push(readings[live.as_slice()[k] as usize].sensor_id.clone());
+            kept_sensors.push(sensor_of(k));
         }
         let mut discarded_sensors: SmallBuf<SensorId, READINGS_INLINE> = SmallBuf::filled(empty_id);
         for &k in conflict.discarded.as_slice() {
-            discarded_sensors.push(readings[live.as_slice()[k] as usize].sensor_id.clone());
+            discarded_sensors.push(sensor_of(k));
         }
 
         let lattice = RegionLattice::build_from_buf(self.universe, evidence)
@@ -385,7 +397,111 @@ impl FusionEngine {
         if let Some(metrics) = &self.metrics {
             metrics.record(&result, started.elapsed());
         }
-        result
+        (result, live_mask(live.as_slice(), readings.len()))
+    }
+
+    /// Re-weights `cached` — a result fused by
+    /// [`FusionEngine::fuse_with_live_mask`] from these same `readings`
+    /// (same rows, same order) and the same exclusion set at another
+    /// instant, whose live view was `cached_mask` — to `now`. Returns
+    /// `None` when only a full fuse can answer: aging inflation is on,
+    /// the live view at `now` differs, or conflict resolution at `now`
+    /// picks a different outcome.
+    ///
+    /// Bit-identical to `fuse_excluding(readings, now, quarantined)`.
+    /// With no inflation the evidence regions are the reading regions,
+    /// and an equal live view means the same readings in the same
+    /// order. Conflict resolution then sees the same regions: a cached
+    /// [`ConflictRule::NoConflict`] (one connected component, decided by
+    /// geometry alone) holds at any instant, and any other outcome,
+    /// which may depend on the decayed `p_i`, is re-run and must be
+    /// equal. Equal survivors give the same evidence regions in the same
+    /// order, hence the same lattice nodes and edges (both derived from
+    /// the regions only), the same band thresholds (pre-degradation
+    /// accuracies) and the same kept/discarded sensors. What moves with
+    /// the clock is each survivor's `p_i`: it is recomputed through the
+    /// same `SensorEvidence::new(region, hit_probability_at(now),
+    /// false_positive_probability(area))` call, and
+    /// `RegionLattice::recompute_probabilities` then makes the same
+    /// `posterior_general` calls, in the same node order, that a fresh
+    /// build makes. The result is a clone: `cached` itself, which may be
+    /// shared, is never mutated. No `fusion.*` metric is recorded.
+    #[must_use]
+    pub fn reweight<R: Borrow<SensorReading>>(
+        &self,
+        cached: &FusionResult,
+        cached_mask: u64,
+        readings: &[R],
+        now: SimTime,
+        quarantined: &HashSet<SensorId>,
+    ) -> Option<FusionResult> {
+        if self.aging_inflation_ft_per_s > 0.0 {
+            return None;
+        }
+        let (live, aged) = self.live_view(readings, now, quarantined);
+        if live_mask(live.as_slice(), readings.len()) != Some(cached_mask) {
+            return None;
+        }
+        if cached.conflict.rule != ConflictRule::NoConflict {
+            let conflict = conflict::resolve_subset(
+                readings,
+                live.as_slice(),
+                aged.as_slice(),
+                &self.universe,
+                now,
+            );
+            if conflict != cached.conflict {
+                return None;
+            }
+        }
+        let mut result = cached.clone();
+        let kept = cached.conflict.kept.as_slice();
+        for (e, &k) in result.lattice.evidence_mut().iter_mut().zip(kept) {
+            let r: &SensorReading = readings[live.as_slice()[k] as usize].borrow();
+            *e = self.evidence(r, aged.as_slice()[k], now);
+        }
+        result.lattice.recompute_probabilities();
+        Some(result)
+    }
+
+    /// The live view of `readings` at `now`: indices of the unexpired
+    /// rows from non-quarantined sensors with a positive hit
+    /// probability, plus their aged regions. Indices and a parallel
+    /// buffer replace an owned filtered `Vec` — no cloning, no
+    /// allocation.
+    fn live_view<R: Borrow<SensorReading>>(
+        &self,
+        readings: &[R],
+        now: SimTime,
+        quarantined: &HashSet<SensorId>,
+    ) -> (
+        SmallBuf<u32, READINGS_INLINE>,
+        SmallBuf<Rect, READINGS_INLINE>,
+    ) {
+        let mut live: SmallBuf<u32, READINGS_INLINE> = SmallBuf::default();
+        let mut aged: SmallBuf<Rect, READINGS_INLINE> =
+            SmallBuf::filled(&Rect::from_point(Point::ORIGIN));
+        #[allow(clippy::cast_possible_truncation)]
+        for (i, r) in readings.iter().enumerate() {
+            let r = r.borrow();
+            if !quarantined.contains(&r.sensor_id)
+                && !r.is_expired(now)
+                && r.hit_probability_at(now) > 0.0
+            {
+                live.push(i as u32);
+                aged.push(self.aged_region(r, now));
+            }
+        }
+        (live, aged)
+    }
+
+    /// One survivor's evidence at `now`, over its (aged) region.
+    fn evidence(&self, reading: &SensorReading, region: Rect, now: SimTime) -> SensorEvidence {
+        SensorEvidence::new(
+            region,
+            reading.hit_probability_at(now),
+            reading.false_positive_probability(self.universe.area()),
+        )
     }
 
     /// Direct Equation-7 evaluation without building a lattice — the fast
@@ -400,13 +516,7 @@ impl FusionEngine {
         let evidence: Vec<SensorEvidence> = readings
             .iter()
             .filter(|r| !r.is_expired(now))
-            .map(|r| {
-                SensorEvidence::new(
-                    self.aged_region(r, now),
-                    r.hit_probability_at(now),
-                    r.false_positive_probability(self.universe.area()),
-                )
-            })
+            .map(|r| self.evidence(r, self.aged_region(r, now), now))
             .collect();
         posterior_general(&evidence, region, &self.universe)
     }
@@ -790,6 +900,84 @@ mod tests {
         let empty = e.fuse_excluding(&readings, SimTime::ZERO, &all);
         assert!(empty.best_estimate().is_none());
         assert!(empty.kept_sensors().is_empty());
+    }
+
+    /// Two decaying readings (one per component when `apart`) fused at
+    /// `t0`, then re-weighted to `t1`.
+    fn reweight_case(apart: bool, t0: f64, t1: f64) -> (Option<FusionResult>, FusionResult) {
+        let decaying = |sensor: &str, region: Rect, spec: SensorSpec, life: f64| {
+            let mut r = reading(region, false, spec, 0.0, 100.0);
+            r.sensor_id = sensor.into();
+            r.tdf = TemporalDegradation::Linear {
+                lifetime: SimDuration::from_secs(life),
+            };
+            r
+        };
+        let far = if apart {
+            r(300.0, 10.0, 302.0, 12.0)
+        } else {
+            r(11.0, 11.0, 30.0, 30.0)
+        };
+        let readings = vec![
+            decaying(
+                "a",
+                r(10.0, 10.0, 12.0, 12.0),
+                SensorSpec::ubisense(1.0),
+                20.0,
+            ),
+            decaying("b", far, SensorSpec::rfid_badge(1.0), 90.0),
+        ];
+        let e = engine();
+        let none = HashSet::new();
+        let (cached, mask) = e.fuse_with_live_mask(&readings, SimTime::from_secs(t0), &none);
+        let at = SimTime::from_secs(t1);
+        let reweighted = e.reweight(&cached, mask.unwrap(), &readings, at, &none);
+        (reweighted, e.fuse(&readings, at))
+    }
+
+    #[test]
+    fn reweight_equals_a_fresh_fuse() {
+        let (reweighted, fresh) = reweight_case(false, 1.0, 7.0);
+        assert_eq!(format!("{:?}", reweighted.unwrap()), format!("{fresh:?}"));
+        // Two components: the conflict is re-run and still agrees.
+        let (reweighted, fresh) = reweight_case(true, 1.0, 2.0);
+        assert_eq!(fresh.conflict().rule, ConflictRule::HigherProbabilityWins);
+        assert_eq!(format!("{:?}", reweighted.unwrap()), format!("{fresh:?}"));
+    }
+
+    #[test]
+    fn reweight_bails_when_only_a_full_fuse_can_answer() {
+        // "a" decays to zero by t = 20: the live view shrinks.
+        assert!(reweight_case(false, 1.0, 25.0).0.is_none());
+        // The stronger but faster-decaying "a" wins early, "b" late.
+        let (early, late) = (
+            reweight_case(true, 1.0, 1.0).1,
+            reweight_case(true, 1.0, 19.0).1,
+        );
+        assert_ne!(early.kept_sensors(), late.kept_sensors());
+        assert!(reweight_case(true, 1.0, 19.0).0.is_none());
+        // Aging inflation moves the regions with the clock.
+        let mut aged = reading(
+            r(10.0, 10.0, 12.0, 12.0),
+            false,
+            SensorSpec::ubisense(0.9),
+            0.0,
+            100.0,
+        );
+        aged.tdf = TemporalDegradation::None;
+        let e = engine().with_aging_inflation(4.0);
+        let none = HashSet::new();
+        let readings = [aged];
+        let (cached, mask) = e.fuse_with_live_mask(&readings, SimTime::ZERO, &none);
+        assert!(e
+            .reweight(
+                &cached,
+                mask.unwrap(),
+                &readings,
+                SimTime::from_secs(1.0),
+                &none
+            )
+            .is_none());
     }
 
     #[test]

@@ -606,7 +606,18 @@ impl RegionLattice {
         }
     }
 
-    fn recompute_probabilities(&mut self) {
+    /// The evidence, for re-weighting in place before
+    /// [`RegionLattice::recompute_probabilities`]. Only the `p_i`/`q_i`
+    /// may change: nodes and edges were derived from the regions.
+    pub(crate) fn evidence_mut(&mut self) -> &mut [SensorEvidence] {
+        self.evidence.as_mut_slice()
+    }
+
+    /// Recomputes every node's Equation-7 posterior from the current
+    /// evidence: one `posterior_general` call per region node, in node
+    /// order — the same calls, in the same order, as
+    /// [`RegionLattice::build`] makes after wiring the edges.
+    pub(crate) fn recompute_probabilities(&mut self) {
         for i in 2..self.nodes.len() {
             let region = self.nodes.as_slice()[i].region;
             self.nodes.as_mut_slice()[i].probability =

@@ -1,3 +1,5 @@
+use std::borrow::Borrow;
+
 use mw_geometry::{Point, Rect};
 use mw_model::SimTime;
 use mw_sensors::{MobileObjectId, SensorId, SensorReading};
@@ -186,10 +188,17 @@ impl SpatialDatabase {
         self.triggers.len()
     }
 
-    /// All live readings about one object at `now` (the fusion input).
+    /// All live readings about one object at `now`, in sensor-id order
+    /// (the fusion input). Counts one `db.live_queries`.
     #[must_use]
     pub fn live_readings_for(&self, object: &MobileObjectId, now: SimTime) -> Vec<SensorReading> {
-        self.readings.live_readings_for(object, now)
+        self.readings
+            .rows_for(object)
+            .iter()
+            .map(Borrow::borrow)
+            .filter(|r: &&SensorReading| !r.is_expired(now))
+            .cloned()
+            .collect()
     }
 
     /// The MBR of everything known about the physical space — a sensible

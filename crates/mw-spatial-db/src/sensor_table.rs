@@ -1,3 +1,4 @@
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use mw_model::{SimDuration, SimTime};
@@ -77,21 +78,28 @@ impl SensorReadingTable {
     }
 
     /// Inserts a reading, superseding the previous reading of the same
-    /// `(sensor, object)` pair. Returns the superseded reading, if any.
+    /// `(sensor, object)` pair in place. Returns the superseded reading,
+    /// if any.
+    ///
+    /// Each object's rows are kept in sensor-id order (a binary search
+    /// finds the row or its slot), so [`SensorReadingTable::rows_for`]
+    /// hands fusion one order whatever the insert/revoke history:
+    /// conflict resolution breaks probability ties by position.
+    /// `revoke` and `prune_expired` only remove rows, which keeps the
+    /// order.
     pub fn insert(&mut self, reading: SensorReading) -> Option<SensorReading> {
         if let Some(metrics) = &self.metrics {
             metrics.inserted.inc();
         }
         let per_object = self.rows.entry(reading.object.clone()).or_default();
-        if let Some(slot) = per_object
-            .iter_mut()
-            .find(|r| r.sensor_id == reading.sensor_id)
-        {
-            return Some(std::mem::replace(&mut **slot, reading));
+        match per_object.binary_search_by(|r| r.sensor_id.cmp(&reading.sensor_id)) {
+            Ok(at) => Some(std::mem::replace(&mut *per_object[at], reading)),
+            Err(at) => {
+                per_object.insert(at, Box::new(reading));
+                self.len += 1;
+                None
+            }
         }
-        per_object.push(Box::new(reading));
-        self.len += 1;
-        None
     }
 
     /// Removes and returns every stored reading (expired rows included) —
@@ -141,19 +149,16 @@ impl SensorReadingTable {
             .filter(move |r| !r.is_expired(now))
     }
 
-    /// Copies out the live readings about `object` at `now` (the fusion
-    /// input), sorted by sensor id. Rows sit in per-object `Vec`s in
-    /// insert/revoke history order, so two tables holding the same live
-    /// set can order it differently; conflict resolution breaks
-    /// probability ties by position, so fusion must see one order.
+    /// Every stored row about `object`, expired-but-unpruned rows
+    /// included, in sensor-id order — the fusion input, borrowed in
+    /// place (`FusionEngine::fuse_excluding` drops expired rows itself).
+    /// Counts one `db.live_queries`.
     #[must_use]
-    pub fn live_readings_for(&self, object: &MobileObjectId, now: SimTime) -> Vec<SensorReading> {
+    pub fn rows_for(&self, object: &MobileObjectId) -> &[impl Borrow<SensorReading>] {
         if let Some(metrics) = &self.metrics {
             metrics.live_queries.inc();
         }
-        let mut out: Vec<SensorReading> = self.readings_for(object, now).cloned().collect();
-        out.sort_unstable_by(|a, b| a.sensor_id.cmp(&b.sensor_id));
-        out
+        self.rows.get(object).map_or(&[], Vec::as_slice)
     }
 
     /// All live readings at `now`, any object.
