@@ -11,11 +11,13 @@
 //!    per-step cost,
 //! 3. **subscriptions** — fixed floor and population, 0 → 5000 watched
 //!    regions: per-step cost (the Figure 9 claim at simulation scale),
-//! 4. **perf mix** — the epoch-cached, sharded service against a
-//!    single-shard, cache-free baseline under a repeated-query load and a
-//!    multi-threaded query-heavy mix. Writes `BENCH_perf.json` to the
-//!    workspace root and exits nonzero when the cache-hit speedup, the
-//!    cache-hit ratio, or cached-vs-fresh answer equivalence regresses.
+//! 4. **perf mix** — the epoch-cached service against a direct-fuse
+//!    baseline (per query: the same `LocationQuery` build, a fresh
+//!    `FusionEngine::fuse` of the object's rows, `region_probability`
+//!    for the asked rect) under a repeated-query load and a multi-threaded
+//!    query-heavy mix. Writes `BENCH_perf.json` to the workspace root
+//!    and exits nonzero when the cache-hit speedup, the cache-hit ratio,
+//!    or cached-vs-fresh answer equivalence regresses.
 //! 5. **city scale** — the `mw_sim::City` generator at 1k/10k/100k
 //!    tracked objects under 10k look-alike region rules (`DESIGN.md`
 //!    §14): bytes per tracked object (counting allocator, gate ≤ 512 at
@@ -33,18 +35,22 @@
 //! `perf` as the only argument to run just the perf mix (the CI smoke
 //! step does).
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use mw_bench::{time_it, ubisense_reading, LatencyStats};
 use mw_bus::Broker;
-use mw_core::{LocationQuery, LocationService, Notification, ServiceTuning, SubscriptionSpec};
-use mw_fusion::FusionEngine;
+use mw_core::{
+    AnswerQuality, LocationFix, LocationQuery, LocationService, Notification, QueryTarget,
+    SubscriptionSpec, WorldModel,
+};
+use mw_fusion::{BandThresholds, FusionEngine, ProbabilityBand};
 use mw_geometry::{Point, Rect};
 use mw_model::{SimDuration, SimTime};
 use mw_obs::MetricsRegistry;
-use mw_sensors::AdapterOutput;
+use mw_sensors::{AdapterOutput, MobileObjectId, SensorReading};
 use mw_sim::zipf::{sample_zipf, zipf_cdf};
 use mw_sim::{building, City, CityConfig, DeploymentConfig, SimConfig, Simulation};
 use rand::rngs::StdRng;
@@ -269,24 +275,129 @@ fn subscription_sweep() {
     println!();
 }
 
-// --- perf mix: cached + sharded service vs. uncached single shard -------
+// --- perf mix: cached service vs. a direct fuse per query ---------------
 
 const PERF_OBJECTS: usize = 32;
 const REPEATED_QUERIES: usize = 20_000;
 const MIX_OPS_PER_THREAD: usize = 4_000;
 
-fn perf_service(tuning: ServiceTuning) -> (Arc<LocationService>, MetricsRegistry, Broker) {
+fn perf_service() -> (Arc<LocationService>, MetricsRegistry, Broker) {
     let plan = building::paper_floor();
     let broker = Broker::new();
     let registry = MetricsRegistry::new();
-    let svc = LocationService::new_with_tuning_and_obs(
-        plan.db,
-        plan.universe,
-        &broker,
-        &registry,
-        tuning,
-    );
+    let svc = LocationService::new_with_obs(plan.db, plan.universe, &broker, &registry);
     (svc, registry, broker)
+}
+
+/// What the perf mix drives: the service, or the direct-fuse baseline.
+trait PerfTarget: Send + Sync + 'static {
+    /// Answers a rect query, discarding the answer.
+    fn ask(&self, q: LocationQuery);
+    fn put(&self, reading: SensorReading, now: SimTime);
+}
+
+impl PerfTarget for LocationService {
+    fn ask(&self, q: LocationQuery) {
+        let _ = self.query(q);
+    }
+
+    fn put(&self, reading: SensorReading, now: SimTime) {
+        self.ingest_reading(reading, now);
+    }
+}
+
+/// The baseline the fusion cache is gated against: per query, what the
+/// public-API reference (`crates/mw-core/tests/reference/`) does — look
+/// the object's rows up, fuse them fresh with [`FusionEngine::fuse`],
+/// answer the rect with `FusionResult::region_probability` (§4.2:
+/// insert the rect, evaluate Equation 7) and classify it — with no
+/// metrics, supervisor or interner around it. The caller pays the same
+/// `LocationQuery` build on both sides.
+struct DirectFuse {
+    engine: FusionEngine,
+    world: WorldModel,
+    thresholds: BandThresholds,
+    /// Each object's rows in sensor-id order, the order the service
+    /// fuses them in (one row per sensor: a reading supersedes its
+    /// sensor's previous one).
+    rows: HashMap<MobileObjectId, RwLock<Vec<SensorReading>>>,
+}
+
+impl DirectFuse {
+    /// The baseline over the readings `svc` holds at `now`, exported
+    /// through its public API.
+    fn of(svc: &LocationService, now: SimTime) -> DirectFuse {
+        let plan = building::paper_floor();
+        let mut rows: HashMap<MobileObjectId, Vec<SensorReading>> = HashMap::new();
+        let mut accuracies: Vec<f64> = Vec::new();
+        // Sorted by (object, sensor): each object's rows come out in
+        // sensor-id order.
+        for reading in svc.export_partition_state(now).readings {
+            let p = reading.spec.hit_probability();
+            if !accuracies.contains(&p) {
+                accuracies.push(p);
+            }
+            rows.entry(reading.object.clone())
+                .or_default()
+                .push(reading);
+        }
+        DirectFuse {
+            engine: FusionEngine::new(plan.universe),
+            world: WorldModel::from_database(&plan.db),
+            thresholds: BandThresholds::from_sensor_accuracies(&accuracies),
+            rows: rows
+                .into_iter()
+                .map(|(object, rows)| (object, RwLock::new(rows)))
+                .collect(),
+        }
+    }
+
+    /// The probability and band a cache-free service answers `q` with.
+    fn answer(&self, q: &LocationQuery) -> (f64, ProbabilityBand) {
+        let QueryTarget::Rect(rect) = q.target else {
+            panic!("the perf mix asks rect queries only");
+        };
+        let rows = self.rows[&q.object].read().expect("rows lock");
+        let p = self
+            .engine
+            .fuse(&rows, q.now)
+            .region_probability(rect)
+            .expect("a rect query inserts into the lattice");
+        (p, self.thresholds.classify(p))
+    }
+
+    /// The fix an unsupervised service with no privacy settings locates
+    /// `object` at.
+    fn locate(&self, object: &MobileObjectId, now: SimTime) -> LocationFix {
+        let rows = self.rows[object].read().expect("rows lock");
+        let estimate = self
+            .engine
+            .fuse(&rows, now)
+            .best_estimate()
+            .expect("every perf object is tracked");
+        LocationFix {
+            object: object.clone(),
+            region: estimate.region,
+            probability: estimate.probability,
+            band: self.thresholds.classify(estimate.probability),
+            symbolic: self.world.symbolic_for_rect(&estimate.region),
+            at: now,
+        }
+    }
+}
+
+impl PerfTarget for DirectFuse {
+    fn ask(&self, q: LocationQuery) {
+        std::hint::black_box(self.answer(&q));
+    }
+
+    fn put(&self, reading: SensorReading, _now: SimTime) {
+        let mut rows = self.rows[&reading.object].write().expect("rows lock");
+        match rows.binary_search_by(|r| r.sensor_id.cmp(&reading.sensor_id)) {
+            Ok(i) => rows[i] = reading,
+            Err(i) => rows.insert(i, reading),
+        }
+    }
 }
 
 fn object_name(i: usize) -> String {
@@ -325,14 +436,14 @@ fn seeded_rect(rng: &mut StdRng) -> Rect {
     Rect::new(Point::new(x, y), Point::new(x + 40.0, y + 30.0))
 }
 
-/// Same object, same instant, over and over: on the tuned service every
-/// ask after the first is served from the epoch cache.
-fn repeated_query_throughput(svc: &Arc<LocationService>, now: SimTime, seed: u64) -> f64 {
+/// Same object, same instant, over and over: on the service every ask
+/// after the first is served from the epoch cache.
+fn repeated_query_throughput(target: &impl PerfTarget, now: SimTime, seed: u64) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let start = Instant::now();
     for i in 0..REPEATED_QUERIES {
         let rect = seeded_rect(&mut rng);
-        let _ = svc.query(
+        target.ask(
             LocationQuery::of(object_name(i % PERF_OBJECTS).as_str())
                 .in_rect(rect)
                 .at(now),
@@ -343,8 +454,8 @@ fn repeated_query_throughput(svc: &Arc<LocationService>, now: SimTime, seed: u64
 
 /// Query-heavy mix (one ingest per 64 ops) across `threads` workers.
 /// Returns (ops/sec, merged latency stats).
-fn mixed_load(
-    svc: &Arc<LocationService>,
+fn mixed_load<T: PerfTarget>(
+    target: &Arc<T>,
     threads: usize,
     now: SimTime,
     seed: u64,
@@ -352,7 +463,7 @@ fn mixed_load(
     let start = Instant::now();
     let handles: Vec<_> = (0..threads)
         .map(|t| {
-            let svc = Arc::clone(svc);
+            let target = Arc::clone(target);
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed + t as u64);
                 let mut latencies = Vec::with_capacity(MIX_OPS_PER_THREAD);
@@ -364,10 +475,10 @@ fn mixed_load(
                             Point::new(rng.gen_range(5.0..495.0), rng.gen_range(5.0..95.0));
                         let mut r = ubisense_reading(&object_name(obj), center, now);
                         r.sensor_id = format!("Ubi-mix-{obj}").as_str().into();
-                        svc.ingest_reading(r, now);
+                        target.put(r, now);
                     } else {
                         let rect = seeded_rect(&mut rng);
-                        let _ = svc.query(
+                        target.ask(
                             LocationQuery::of(object_name(obj).as_str())
                                 .in_rect(rect)
                                 .at(now),
@@ -390,48 +501,40 @@ fn mixed_load(
     )
 }
 
-/// Exact-equality check of every observable query output between the two
-/// configurations. Returns the number of comparisons made.
-fn equivalence_check(
-    tuned: &Arc<LocationService>,
-    baseline: &Arc<LocationService>,
-    now: SimTime,
-) -> usize {
+/// Exact-equality check of every observable query output between the
+/// service and the direct fuse. Returns the number of comparisons made.
+fn equivalence_check(svc: &LocationService, baseline: &DirectFuse, now: SimTime) -> usize {
     let mut rng = StdRng::seed_from_u64(99);
     let mut checks = 0usize;
     for i in 0..PERF_OBJECTS {
         let object = object_name(i);
         for _ in 0..3 {
             let rect = seeded_rect(&mut rng);
-            // Ask the tuned service twice so the second answer is the
-            // cached one; all three must match the cache-free baseline
-            // bit for bit.
-            let fresh = baseline
-                .query(LocationQuery::of(object.as_str()).in_rect(rect).at(now))
-                .expect("baseline answers");
+            // Ask the service twice so the second answer is the cached
+            // one; both must match the direct fuse bit for bit.
+            let (p, band) =
+                baseline.answer(&LocationQuery::of(object.as_str()).in_rect(rect).at(now));
             for _ in 0..2 {
-                let cached = tuned
+                let cached = svc
                     .query(LocationQuery::of(object.as_str()).in_rect(rect).at(now))
-                    .expect("tuned answers");
+                    .expect("service answers");
                 assert_eq!(
                     cached.probability(),
-                    fresh.probability(),
+                    Some(p),
                     "probability diverged for {object} in {rect:?}"
                 );
-                assert_eq!(cached.band(), fresh.band(), "band diverged for {object}");
+                assert_eq!(cached.band(), Some(band), "band diverged for {object}");
                 assert_eq!(
                     cached.quality(),
-                    fresh.quality(),
+                    AnswerQuality::Full,
                     "quality diverged for {object}"
                 );
                 checks += 1;
             }
         }
-        let a = tuned.locate(&object.as_str().into(), now).expect("locate");
-        let b = baseline
-            .locate(&object.as_str().into(), now)
-            .expect("locate");
-        assert_eq!(a, b, "locate diverged for {object}");
+        let id: MobileObjectId = object.as_str().into();
+        let a = svc.locate(&id, now).expect("locate");
+        assert_eq!(a, baseline.locate(&id, now), "locate diverged for {object}");
         checks += 1;
     }
     checks
@@ -478,7 +581,7 @@ struct SsRow {
 }
 
 fn ss_cell(rules: usize) -> SsRow {
-    let (svc, registry, _broker) = perf_service(ServiceTuning::default());
+    let (svc, registry, _broker) = perf_service();
     let cdf = zipf_cdf(SS_PREDICATES, SS_ZIPF_S);
     let mut rng = StdRng::seed_from_u64(23);
     let reg_start = Instant::now();
@@ -620,7 +723,7 @@ const CITY_INGEST_BATCH: usize = 1_000;
 /// reading row + interned ids + compact slab slot).
 ///
 /// The gate applies at the TOP scale only, on purpose: fixed service
-/// overhead — shard tables, index arenas, interner slabs, channel
+/// overhead — reading tables, index arenas, interner slabs, channel
 /// buffers — dominates small populations, so the 1k-object row measures
 /// ~615 B/object of mostly fixed cost that amortizes to ~434 B/object
 /// by 100k objects. Gating the small rows would be gating the constant
@@ -755,15 +858,15 @@ fn fuse_allocs_per_call() -> Option<f64> {
 /// global allocator, as `(full miss, re-weight)`. Each probe ingests a
 /// fresh reading (unmeasured; no rules, so ingest fuses nothing), then
 /// locates the object at two successive instants: the first finds no
-/// entry for the new epoch and fuses the shard's rows in full, the
+/// entry for the new epoch and fuses the object's rows in full, the
 /// second re-weights that entry to the later instant. Both store a new
 /// shared result and its boxed cache entry, and `locate` resolves the
 /// fix symbolically. The gates pin the integer counts, so a per-miss
 /// copy of the readings cannot come back unseen. Returns `None`
 /// without the `heap_stats` feature.
 fn locate_miss_allocs() -> Option<(f64, f64)> {
-    let (svc, registry, _broker) = perf_service(ServiceTuning::default());
-    let object: mw_sensors::MobileObjectId = "alloc-probe".into();
+    let (svc, registry, _broker) = perf_service();
+    let object: MobileObjectId = "alloc-probe".into();
     let reading = |i: usize, at: SimTime| {
         let mut r = ubisense_reading(
             "alloc-probe",
@@ -831,12 +934,11 @@ fn city_cell(objects: usize, rules: usize, buildings: usize) -> CityRow {
     let broker = Broker::new();
     let registry = MetricsRegistry::new();
     let (svc, svc_spent) = time_it(|| {
-        LocationService::new_with_tuning_and_obs(
+        LocationService::new_with_obs(
             city.plan().db.clone(),
             city.plan().universe,
             &broker,
             &registry,
-            ServiceTuning::default(),
         )
     });
     if debug {
@@ -1210,25 +1312,21 @@ fn city_scale_sweep() -> String {
 }
 
 fn perf_mix() {
-    println!("== perf: epoch-cached sharded service vs single-shard uncached baseline ==");
+    println!("== perf: epoch-cached service vs a direct fuse per query ==");
     let t0 = SimTime::ZERO;
     let now = SimTime::from_secs(1.0);
 
-    let (baseline, base_reg, _bb) = perf_service(ServiceTuning {
-        shards: 1,
-        fusion_cache: false,
-    });
-    let (tuned, tuned_reg, _tb) = perf_service(ServiceTuning::default());
-    prepopulate(&baseline, t0);
+    let (tuned, tuned_reg, _tb) = perf_service();
     prepopulate(&tuned, t0);
+    let baseline = Arc::new(DirectFuse::of(&tuned, now));
 
     // 1. Answers must be bit-identical before anything is timed.
     let checks = equivalence_check(&tuned, &baseline, now);
     println!("  answer equivalence: {checks} comparisons, all exact");
 
     // 2. The cache-hit path: repeated queries at one instant.
-    let base_rq = repeated_query_throughput(&baseline, now, 5);
-    let tuned_rq = repeated_query_throughput(&tuned, now, 5);
+    let base_rq = repeated_query_throughput(baseline.as_ref(), now, 5);
+    let tuned_rq = repeated_query_throughput(tuned.as_ref(), now, 5);
     let speedup = tuned_rq / base_rq;
     println!(
         "  repeated queries ({REPEATED_QUERIES} ops): baseline {base_rq:>10.0} ops/s, \
@@ -1247,7 +1345,7 @@ fn perf_mix() {
         .collect();
     println!(
         "  {:>8} {:>20} {:>20}  (p50/p95/p99 µs)",
-        "threads", "baseline ops/s", "cached ops/s"
+        "threads", "direct ops/s", "cached ops/s"
     );
     let mut mix_rows = String::new();
     for &t in &thread_counts {
@@ -1268,7 +1366,7 @@ fn perf_mix() {
         );
         assert!(
             tuned_tp >= base_tp,
-            "cached+sharded service slower than baseline at {t} threads: \
+            "cached service slower than a direct fuse at {t} threads: \
              {tuned_tp:.0} vs {base_tp:.0} ops/s"
         );
         if !mix_rows.is_empty() {
@@ -1301,12 +1399,6 @@ fn perf_mix() {
         "  cache: {hits} hits / {misses} misses (ratio {ratio:.3}), \
          {invalidations} invalidations, {contention} contended shard locks"
     );
-    let base_snap = base_reg.snapshot();
-    assert_eq!(
-        base_snap.counter("fusion.cache.hits").unwrap_or(0),
-        0,
-        "the cache-free baseline must never hit its cache"
-    );
 
     // Hard gates: the CI smoke step turns any regression here into a
     // failing build.
@@ -1323,7 +1415,7 @@ fn perf_mix() {
     let city_scale = city_scale_sweep();
 
     let json = format!(
-        "{{\n  \"repeated_query\": {{\"iters\": {REPEATED_QUERIES}, \
+        "{{\n  \"repeated_query\": {{\"iters\": {REPEATED_QUERIES}, \"baseline\": \"direct_fuse\", \
          \"baseline_ops_per_sec\": {base_rq:.1}, \"tuned_ops_per_sec\": {tuned_rq:.1}, \
          \"speedup\": {speedup:.2}}},\n  \"mixed_load\": [\n{mix_rows}\n  ],\n  \
          \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"ratio\": {ratio:.4}, \

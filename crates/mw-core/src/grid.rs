@@ -1,7 +1,7 @@
 //! The one coarse spatial index of this crate: a uniform grid from cell
 //! to the items registered over it. The rule engine keys it by trigger
 //! group (`usize`, DESIGN.md §14), the region-query occupancy snapshot
-//! by shard-local object id (`u32`, DESIGN.md §10).
+//! by snapshot-local object id (`u32`, DESIGN.md §10).
 
 use mw_geometry::Rect;
 

@@ -3,7 +3,7 @@
 //! At city scale (DESIGN.md §14) every per-object map keyed by a string
 //! id pays a string hash per lookup and keeps its own copy of the name.
 //! The [`Interner`] maps each distinct id string to a dense `u32`
-//! handle exactly once; hot-path state (the per-shard object slabs, the
+//! handle exactly once; hot-path state (the per-object slab, the
 //! trigger-DAG edge state) is keyed by handle, and the canonical
 //! `Arc<str>` is shared by every reading, fix and notification that
 //! mentions the id, so "cloning an id" downstream of ingest is a
@@ -14,18 +14,20 @@
 //! a tracked object's epoch slot is never forgotten either — and it
 //! keeps `resolve` a plain bounds-checked index.
 
-use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use crate::rules::FastMap;
+
 #[derive(Debug, Default)]
 struct Inner {
     /// Handle → canonical name, densely indexed.
     names: Vec<Arc<str>>,
-    /// Name → handle. Keys share the allocation held in `names`.
-    by_name: HashMap<Arc<str>, u32>,
+    /// Name → handle. Keys share the allocation held in `names`; the
+    /// fast hasher, because every ingest and query probes it.
+    by_name: FastMap<Arc<str>, u32>,
     /// Running total of the canonical strings' allocations, kept by
     /// `intern_slow` so [`Interner::heap_bytes`] never scans `names`.
     string_bytes: usize,

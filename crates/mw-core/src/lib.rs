@@ -44,7 +44,7 @@ pub use relations::{CoLocation, ObjectRelation, RegionRelation};
 pub use rules::{Predicate, Rule, RuleBuilder};
 pub use service::{
     DegradationPolicy, LocationRequest, LocationResponse, LocationService, PartitionState,
-    ServiceTuning, SharedNotification,
+    SharedNotification,
 };
 pub use subscription::{
     DeliveryPolicy, SubscriptionId, SubscriptionSpec, SubscriptionSpecBuilder, SubscriptionTrigger,

@@ -16,8 +16,8 @@
 
 pub use crate::{
     AnswerQuality, CoreError, DeliveryPolicy, LocationFix, LocationQuery, LocationService,
-    Notification, Predicate, QueryAnswer, QueryTarget, Rule, RuleBuilder, ServiceTuning,
-    SubscriptionId, SubscriptionSpec, SubscriptionTrigger,
+    Notification, Predicate, QueryAnswer, QueryTarget, Rule, RuleBuilder, SubscriptionId,
+    SubscriptionSpec, SubscriptionTrigger,
 };
 
 pub use mw_geometry::{Point, Rect};

@@ -1207,7 +1207,7 @@ impl RuleEngine {
     }
 
     /// [`candidate_groups`](RuleEngine::candidate_groups) into a
-    /// caller-owned buffer, so the per-shard ingest loop reuses one
+    /// caller-owned buffer, so the ingest loop reuses one
     /// allocation across fuses. The buffer is cleared first. Returns
     /// the entries scanned to build it (the `rules.candidates.scanned`
     /// metric): grid hits, wildcard always-evaluate groups, the

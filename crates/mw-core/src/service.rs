@@ -10,7 +10,7 @@
 // borrow would come from.
 use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -25,7 +25,7 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::grid::InterestGrid;
 use crate::relations::{self, CoLocation, ObjectRelation, RegionRelation};
-use crate::rules::{EvalInput, EvalScratch, ObjectEvaluation, RuleEngine};
+use crate::rules::{EvalInput, EvalScratch, FastMap, ObjectEvaluation, RuleEngine};
 use crate::symbolic::SymbolicLattice;
 use crate::world::WorldModel;
 use crate::{
@@ -40,35 +40,6 @@ use crate::{
 /// to a plain [`Notification`], so remote subscribers may keep
 /// deserializing either shape.
 pub type SharedNotification = Arc<Notification>;
-
-/// Tuning for [`LocationService`]: how many shards the per-object state
-/// is spread over, and whether fusion results are cached. The defaults
-/// are the production layout; tests that want the pre-sharding
-/// behaviour for differential comparison use `ServiceTuning { shards: 1,
-/// fusion_cache: false }`.
-#[derive(Debug, Clone)]
-pub struct ServiceTuning {
-    /// Number of shards in the per-object state map (readings,
-    /// last-known-good fixes, privacy, fusion cache). Objects hash to a
-    /// shard, so ingest for one object never blocks queries for an
-    /// object on a different shard. Clamped to at least 1.
-    pub shards: usize,
-    /// Cache each object's latest fusion result, keyed by
-    /// (reading-set epoch, query time, excluded-sensor set). Repeated
-    /// queries between ingests then cost a hash lookup instead of a
-    /// lattice rebuild. Answers are bit-identical either way (see the
-    /// equivalence property test).
-    pub fusion_cache: bool,
-}
-
-impl Default for ServiceTuning {
-    fn default() -> Self {
-        ServiceTuning {
-            shards: 16,
-            fusion_cache: true,
-        }
-    }
-}
 
 /// One cached fusion pass. An exact hit needs every key field to
 /// match; an entry with the same epoch and `excluded_key` but another
@@ -114,7 +85,7 @@ enum FuseKind {
 struct Fused {
     kind: FuseKind,
     result: Arc<FusionResult>,
-    /// Live (unexpired) readings the shard held for the object.
+    /// Live (unexpired) readings the table held for the object.
     total: usize,
     /// Of those, readings from non-excluded sensors.
     used: usize,
@@ -123,9 +94,24 @@ struct Fused {
     live_mask: Option<u64>,
 }
 
-/// The mutable, per-object slice of service state. Objects hash to one
-/// shard; everything an ingest or query touches for that object lives
-/// here, behind one lock that is independent of every other shard.
+impl Fused {
+    /// The cache entry this pass stores, keyed by the epoch it read.
+    fn entry(&self, now: SimTime, excluded_key: u64) -> CachedFusion {
+        CachedFusion {
+            epoch: self.epoch,
+            now,
+            excluded_key,
+            live_mask: self.live_mask,
+            result: Arc::clone(&self.result),
+            total: u32::try_from(self.total).expect("reading count overflow"),
+            used: u32::try_from(self.used).expect("reading count overflow"),
+        }
+    }
+}
+
+/// The mutable, per-object service state: the §5.2 sensor-reading
+/// table and everything an ingest or query touches for an object, behind
+/// one lock.
 ///
 /// Per-object bookkeeping is a struct-of-arrays slab (`DESIGN.md` §14):
 /// object ids are interned to dense `u32` handles once, and each object
@@ -135,15 +121,16 @@ struct Fused {
 /// hot path is the interner's own read-locked hash probe.
 #[derive(Debug)]
 struct ShardState {
-    /// This shard's rows of the §5.2 sensor-reading table.
+    /// The §5.2 sensor-reading table.
     readings: SensorReadingTable,
-    /// Bumped once per op batch that mutates `readings`; a shard's
-    /// [`Occupancy`] is current exactly while its tag equals this.
+    /// Bumped once per op batch that mutates `readings`; the
+    /// [`Occupancy`] snapshot is current exactly while its tag equals
+    /// this.
     readings_version: u64,
     idents: Arc<crate::ident::Interner>,
     /// Identity handle → slot in the vectors below. Slots are allocated
     /// first-touch and never freed.
-    index: HashMap<u32, u32>,
+    index: FastMap<u32, u32>,
     /// Slot-indexed reading-set epochs: bumped on every ingest and
     /// revocation that touches the object. A bump orphans the cached
     /// fusion.
@@ -154,7 +141,7 @@ struct ShardState {
     /// Slot-indexed last-known-good fixes; boxed like the caches.
     last_good: Vec<Option<Box<LocationFix>>>,
     /// Privacy depths, sparse: most objects never set one (§4.5).
-    privacy: HashMap<u32, usize>,
+    privacy: FastMap<u32, usize>,
 }
 
 impl ShardState {
@@ -163,11 +150,11 @@ impl ShardState {
             readings: SensorReadingTable::new(),
             readings_version: 0,
             idents,
-            index: HashMap::new(),
+            index: FastMap::default(),
             epochs: Vec::new(),
             caches: Vec::new(),
             last_good: Vec::new(),
-            privacy: HashMap::new(),
+            privacy: FastMap::default(),
         }
     }
 
@@ -188,7 +175,7 @@ impl ShardState {
         self.caches.push(None);
         self.last_good.push(None);
         self.index
-            .insert(handle, u32::try_from(slot).expect("shard slot overflow"));
+            .insert(handle, u32::try_from(slot).expect("slot overflow"));
         slot
     }
 
@@ -214,10 +201,9 @@ impl ShardState {
     }
 
     /// One fusion pass over the object's rows at `now`, fused in place
-    /// (the caller holds this shard's read lock). In order: an exact
-    /// cache hit; a re-weight of a same-epoch entry from another
-    /// instant; a full fuse. `cache` off skips the first two. Each miss
-    /// reads the rows once (`db.live_queries`).
+    /// (the caller holds the read lock). In order: an exact cache hit; a
+    /// re-weight of a same-epoch entry from another instant; a full
+    /// fuse. Each miss reads the rows once (`db.live_queries`).
     fn fuse(
         &self,
         object: &MobileObjectId,
@@ -225,14 +211,11 @@ impl ShardState {
         excluded: &HashSet<SensorId>,
         excluded_key: u64,
         engine: &FusionEngine,
-        cache: bool,
     ) -> Fused {
         // One slot lookup serves the epoch and the cache entry.
         let slot = self.slot(object);
         let epoch = slot.map_or(0, |s| self.epochs[s]);
-        let entry = slot
-            .filter(|_| cache)
-            .and_then(|s| self.cache_entry(s, excluded_key));
+        let entry = slot.and_then(|s| self.cache_entry(s, excluded_key));
         if let Some(c) = entry.filter(|c| c.now == now) {
             return Fused {
                 kind: FuseKind::Hit,
@@ -291,8 +274,8 @@ impl ShardState {
     }
 }
 
-/// One shard of per-object state: a single `RwLock` over the whole
-/// shard, plus its derived occupancy snapshot.
+/// The per-object state: a single `RwLock` over the whole
+/// [`ShardState`], plus its derived occupancy snapshot.
 #[derive(Debug)]
 struct Shard {
     state: RwLock<ShardState>,
@@ -305,7 +288,7 @@ struct Shard {
     contention: Option<mw_obs::Counter>,
 }
 
-/// A shard's derived occupancy snapshot (`DESIGN.md` §10, "Region
+/// The derived occupancy snapshot (`DESIGN.md` §10, "Region
 /// queries"): which objects hold a *stored* reading over which rect.
 /// Never maintained — [`Occupancy::build`] is its only writer, and a
 /// version mismatch throws the whole thing away.
@@ -313,7 +296,7 @@ struct Shard {
 struct Occupancy {
     /// [`ShardState::readings_version`] this was built at.
     version: u64,
-    /// Shard-local object ids → object.
+    /// Snapshot-local object ids → object.
     objects: Vec<MobileObjectId>,
     /// Grid payload → `(rect, object id)`: one entry per stored reading
     /// the pruning bound covers, and one `None` entry per object it
@@ -331,7 +314,7 @@ impl Occupancy {
         let mut grid = InterestGrid::default();
         let next_entry = |entries: &Vec<_>| u32::try_from(entries.len()).expect("entry overflow");
         for (object, rows) in readings.stored_by_object() {
-            let id = u32::try_from(objects.len()).expect("shard object overflow");
+            let id = u32::try_from(objects.len()).expect("object overflow");
             objects.push(object.clone());
             let mut always = false;
             for r in rows {
@@ -382,25 +365,23 @@ impl Shard {
         self.state.write()
     }
 
-    /// Appends, in id order, exactly the objects of this shard that hold
-    /// a bounded stored reading overlapping `rect` with positive area,
-    /// plus every object the pruning bound does not cover — the objects
-    /// whose posterior for `rect` can exceed the prior share (see
+    /// In id order, exactly the objects that hold a bounded stored
+    /// reading overlapping `rect` with positive area, plus every object
+    /// the pruning bound does not cover — the objects whose posterior
+    /// for `rect` can exceed the prior share (see
     /// [`LocationService::objects_in_region`]). Rebuilds the snapshot
     /// first when the reading table has moved since its tag. Returns
-    /// `(grid entries scanned, objects appended)`.
-    fn region_candidates(
-        &self,
-        rect: &Rect,
-        universe_area: f64,
-        out: &mut Vec<MobileObjectId>,
-    ) -> (usize, usize) {
+    /// the candidates and the number of grid entries scanned.
+    fn region_candidates(&self, rect: &Rect, universe_area: f64) -> (Vec<MobileObjectId>, usize) {
         let state = self.read();
         let mut slot = self.occupancy.lock();
         if slot
             .as_ref()
             .is_none_or(|o| o.version != state.readings_version)
         {
+            // Free the stale snapshot before building its replacement,
+            // so the two are never alive together.
+            *slot = None;
             *slot = Some(Occupancy::build(
                 &state.readings,
                 state.readings_version,
@@ -422,34 +403,12 @@ impl Shard {
             .collect();
         ids.sort_unstable();
         ids.dedup();
-        let start = out.len();
-        out.extend(ids.iter().map(|&id| occupancy.objects[id as usize].clone()));
-        out[start..].sort();
-        (hits.len(), ids.len())
-    }
-
-    /// The object's reading-set epoch (0 if never seen).
-    fn object_epoch(&self, object: &MobileObjectId) -> u64 {
-        self.read().epoch_of(object)
-    }
-
-    /// Objects with any per-object state in this shard (tracked-objects
-    /// gauge input; O(1) in the slot count, no reading-table scan).
-    fn state_len(&self) -> usize {
-        self.read().epochs.len()
-    }
-
-    /// Structural heap estimate of this shard's per-object bookkeeping.
-    fn state_heap_bytes(&self) -> usize {
-        self.read().heap_bytes()
-    }
-
-    fn reading_count(&self) -> usize {
-        self.read().readings.len()
-    }
-
-    fn tracked_objects(&self, now: SimTime) -> Vec<MobileObjectId> {
-        self.read().readings.tracked_objects(now)
+        let mut out: Vec<MobileObjectId> = ids
+            .iter()
+            .map(|&id| occupancy.objects[id as usize].clone())
+            .collect();
+        out.sort();
+        (out, hits.len())
     }
 
     /// The object's privacy depth limit, if any (§4.5).
@@ -495,9 +454,13 @@ impl Shard {
         state.last_good[slot] = Some(Box::new(fix));
     }
 
-    /// Applies one ingest batch's op queue for this shard, in order;
-    /// returns how many cached fusions were invalidated.
+    /// Applies one ingest batch's op queue, in order, under one write
+    /// lock; returns how many cached fusions were invalidated. An empty
+    /// queue leaves the table (and its snapshot version) untouched.
     fn apply_ops(&self, ops: Vec<ShardOp>) -> u64 {
+        if ops.is_empty() {
+            return 0;
+        }
         let mut invalidated = 0u64;
         let mut state = self.write();
         state.readings_version += 1;
@@ -520,8 +483,8 @@ impl Shard {
         invalidated
     }
 
-    /// Copies the shard's live readings and last-known-good fixes out
-    /// for a partition handoff snapshot.
+    /// Copies the live readings and last-known-good fixes out for a
+    /// partition handoff snapshot.
     fn export_state(&self, now: SimTime) -> (Vec<SensorReading>, Vec<LocationFix>) {
         let state = self.read();
         (
@@ -537,6 +500,9 @@ impl Shard {
     /// Bulk seed-reading migration at construction (no epoch bumps;
     /// uncounted, since construction binds metrics after it).
     fn seed_readings(&self, readings: Vec<SensorReading>) {
+        if readings.is_empty() {
+            return;
+        }
         let mut state = self.write();
         state.readings_version += 1;
         for reading in readings {
@@ -550,15 +516,6 @@ impl Shard {
 struct WorldSnapshots {
     world: Arc<WorldModel>,
     symbolic: Arc<SymbolicLattice>,
-}
-
-/// Which shard an object's state lives in: hash of the id modulo the
-/// shard count (std's deterministic SipHash with zero keys, so the
-/// mapping is stable across runs and processes).
-fn shard_of(object: &MobileObjectId, shards: usize) -> usize {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    object.hash(&mut hasher);
-    (hasher.finish() as usize) % shards
 }
 
 /// Order-insensitive fingerprint of the excluded-sensor set for the
@@ -756,22 +713,21 @@ impl CoreMetrics {
 /// relationships and privacy, over the spatial database and the bus.
 ///
 /// Concurrency layout (see `DESIGN.md` §10): per-object state —
-/// readings, last-known-good fixes, privacy, the fusion cache — is
-/// spread over a fixed shard map so unrelated objects never contend;
-/// the static world (objects, sensor metadata, triggers) lives in a
+/// readings, last-known-good fixes, privacy, the fusion cache — sits
+/// behind one lock, as the paper's one sensor-reading table (§5); the
+/// static world (objects, sensor metadata, triggers) lives in a
 /// read-mostly database whose derived models (`WorldModel`,
 /// `SymbolicLattice`) are swapped as `Arc` snapshots on mutation.
 #[derive(Debug)]
 pub struct LocationService {
     /// The static tables: spatial objects, sensor metadata, triggers.
-    /// Live readings are shard-local (see [`ShardState`]).
+    /// Live readings are in `shard` (see [`ShardState`]).
     statics: RwLock<SpatialDatabase>,
     /// The derived world/symbolic snapshots. Readers clone the `Arc`s
     /// out; mutation swaps both pointers under one write lock instead of
     /// blocking readers mid-walk.
     world: RwLock<WorldSnapshots>,
-    shards: Box<[Shard]>,
-    tuning: ServiceTuning,
+    shard: Shard,
     engine: FusionEngine,
     /// The compiled subscription store (`DESIGN.md` §12): every
     /// subscription — rule or legacy spec — lives here as a trigger
@@ -779,15 +735,16 @@ pub struct LocationService {
     rules: RwLock<RuleEngine>,
     /// The identity table (`DESIGN.md` §14): object and sensor ids
     /// interned to dense handles at the ingest boundary; the compact
-    /// shard slabs and the rule engine's per-object edge state key by
+    /// slab and the rule engine's per-object edge state key by
     /// handle, and canonical `Arc<str>` allocations are shared by every
     /// reading and notification.
     idents: Arc<crate::ident::Interner>,
-    /// Hit probabilities (`p_i`) of every sensor technology seen so far;
-    /// §4.4 derives the low/medium/high/very-high band edges from "the
-    /// accuracy of various sensors" deployed, not just the ones
-    /// contributing to one reading.
-    sensor_accuracies: RwLock<Vec<f64>>,
+    /// Hit probabilities (`p_i`) of every sensor technology seen so far,
+    /// with the band thresholds derived from them: §4.4 derives the
+    /// low/medium/high/very-high band edges from "the accuracy of
+    /// various sensors" deployed, not just the ones contributing to one
+    /// reading. Re-derived only when a new accuracy registers.
+    sensor_accuracies: RwLock<(Vec<f64>, BandThresholds)>,
     notifications: Publisher<SharedNotification>,
     metrics: Option<CoreMetrics>,
     /// Sensor supervision (quarantine, sanity gates, staleness
@@ -796,9 +753,7 @@ pub struct LocationService {
     degradation: DegradationPolicy,
 }
 
-/// One queued mutation for a shard, order-preserving within the shard
-/// (revocations and supersedes are per `(sensor, object)`, so only
-/// same-shard order is observable).
+/// One queued mutation of the reading table, applied in arrival order.
 enum ShardOp {
     Revoke(SensorId, MobileObjectId),
     Insert(SensorReading),
@@ -841,41 +796,7 @@ impl LocationService {
         engine: FusionEngine,
         broker: &Broker,
     ) -> Arc<Self> {
-        Self::build(db, engine, broker, None, None, ServiceTuning::default())
-    }
-
-    /// Creates a service with explicit concurrency tuning (shard count,
-    /// fusion cache on/off). The other constructors use
-    /// [`ServiceTuning::default`].
-    #[must_use]
-    pub fn new_with_tuning(
-        db: SpatialDatabase,
-        universe: Rect,
-        broker: &Broker,
-        tuning: ServiceTuning,
-    ) -> Arc<Self> {
-        Self::build(db, FusionEngine::new(universe), broker, None, None, tuning)
-    }
-
-    /// [`new_with_tuning`](LocationService::new_with_tuning) plus the
-    /// observability wiring of
-    /// [`new_with_obs`](LocationService::new_with_obs).
-    #[must_use]
-    pub fn new_with_tuning_and_obs(
-        db: SpatialDatabase,
-        universe: Rect,
-        broker: &Broker,
-        registry: &MetricsRegistry,
-        tuning: ServiceTuning,
-    ) -> Arc<Self> {
-        Self::build(
-            db,
-            FusionEngine::new(universe),
-            broker,
-            Some(registry),
-            None,
-            tuning,
-        )
+        Self::build(db, engine, broker, None, None)
     }
 
     /// Creates an observable service: the database, fusion engine and the
@@ -903,14 +824,7 @@ impl LocationService {
         broker: &Broker,
         registry: &MetricsRegistry,
     ) -> Arc<Self> {
-        Self::build(
-            db,
-            engine,
-            broker,
-            Some(registry),
-            None,
-            ServiceTuning::default(),
-        )
+        Self::build(db, engine, broker, Some(registry), None)
     }
 
     /// Creates a *supervised* observable service: every ingested reading
@@ -928,27 +842,6 @@ impl LocationService {
         registry: &MetricsRegistry,
         supervisor: SharedSupervisor,
     ) -> Arc<Self> {
-        Self::new_supervised_with_tuning(
-            db,
-            universe,
-            broker,
-            registry,
-            supervisor,
-            ServiceTuning::default(),
-        )
-    }
-
-    /// [`new_supervised`](LocationService::new_supervised) with explicit
-    /// tuning (shard count, fusion cache, …).
-    #[must_use]
-    pub fn new_supervised_with_tuning(
-        db: SpatialDatabase,
-        universe: Rect,
-        broker: &Broker,
-        registry: &MetricsRegistry,
-        supervisor: SharedSupervisor,
-        tuning: ServiceTuning,
-    ) -> Arc<Self> {
         supervisor
             .lock()
             .expect("supervisor lock poisoned")
@@ -959,7 +852,6 @@ impl LocationService {
             broker,
             Some(registry),
             Some(supervisor),
-            tuning,
         )
     }
 
@@ -969,38 +861,22 @@ impl LocationService {
         broker: &Broker,
         registry: Option<&MetricsRegistry>,
         supervisor: Option<SharedSupervisor>,
-        tuning: ServiceTuning,
     ) -> Arc<Self> {
-        let tuning = ServiceTuning {
-            shards: tuning.shards.max(1),
-            ..tuning
-        };
         // One identity table for the whole service: object and sensor
         // ids interned at the ingest boundary, handles keying the
-        // compact shard slabs and the rule engine's edge state.
+        // compact slab and the rule engine's edge state.
         let idents = Arc::new(crate::ident::Interner::new());
-        let mut shards: Box<[Shard]> = (0..tuning.shards)
-            .map(|_| Shard {
-                state: RwLock::new(ShardState::new(Arc::clone(&idents))),
-                occupancy: Mutex::new(None),
-                contention: registry.map(|r| r.counter("core.shard.contention")),
-            })
-            .collect();
-        // Any readings pre-loaded into the seed database migrate to
-        // their objects' shards before metrics are bound, so seeds are
-        // not counted as ingested.
-        let mut seeds: HashMap<usize, Vec<SensorReading>> = HashMap::new();
-        for reading in db.readings_mut().drain() {
-            let idx = shard_of(&reading.object, tuning.shards);
-            seeds.entry(idx).or_default().push(reading);
-        }
-        for (idx, readings) in seeds {
-            shards[idx].seed_readings(readings);
-        }
+        let mut shard = Shard {
+            state: RwLock::new(ShardState::new(Arc::clone(&idents))),
+            occupancy: Mutex::new(None),
+            contention: registry.map(|r| r.counter("core.shard.contention")),
+        };
+        // Any readings pre-loaded into the seed database migrate into
+        // the table before metrics are bound, so seeds are not counted
+        // as ingested.
+        shard.seed_readings(db.readings_mut().drain());
         if let Some(registry) = registry {
-            for shard in &mut shards {
-                shard.state.get_mut().readings.bind_metrics(registry);
-            }
+            shard.state.get_mut().readings.bind_metrics(registry);
             db.bind_metrics(registry);
             engine.bind_metrics(registry);
         }
@@ -1011,27 +887,19 @@ impl LocationService {
         Arc::new(LocationService {
             statics: RwLock::new(db),
             world,
-            shards,
+            shard,
             engine,
             rules: RwLock::new(RuleEngine::new(Arc::clone(&idents))),
             idents,
-            tuning,
-            sensor_accuracies: RwLock::new(Vec::new()),
+            sensor_accuracies: RwLock::new((
+                Vec::new(),
+                BandThresholds::from_sensor_accuracies(&[]),
+            )),
             notifications: broker.topic::<SharedNotification>(NOTIFICATION_TOPIC),
             metrics: registry.map(CoreMetrics::new),
             supervisor,
             degradation: DegradationPolicy::default(),
         })
-    }
-
-    // --- shard plumbing ----------------------------------------------------
-
-    fn shard_index(&self, object: &MobileObjectId) -> usize {
-        shard_of(object, self.shards.len())
-    }
-
-    fn shard(&self, object: &MobileObjectId) -> &Shard {
-        &self.shards[self.shard_index(object)]
     }
 
     /// The object's fusion-cache epoch: bumped on every ingest or
@@ -1040,25 +908,20 @@ impl LocationService {
     /// version state behind.
     #[must_use]
     pub fn object_epoch(&self, object: &MobileObjectId) -> u64 {
-        self.shard(object).object_epoch(object)
+        self.shard.read().epoch_of(object)
     }
 
-    /// Total live+stored readings across all shards (the shard-local
+    /// Total live+stored readings in the sensor-reading table (the
     /// replacement for `with_db(|db| db.readings().len())`).
     #[must_use]
     pub fn reading_count(&self) -> usize {
-        self.shards.iter().map(Shard::reading_count).sum()
+        self.shard.read().readings.len()
     }
 
-    /// Every object with at least one live reading at `now`, across all
-    /// shards.
+    /// Every object with at least one live reading at `now`, sorted.
     #[must_use]
     pub fn tracked_objects(&self, now: SimTime) -> Vec<MobileObjectId> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.tracked_objects(now));
-        }
-        out
+        self.shard.read().readings.tracked_objects(now)
     }
 
     /// Overrides the last-known-good policy (supervised services only;
@@ -1097,18 +960,20 @@ impl LocationService {
         &self.idents
     }
 
-    /// Structural estimate of per-object heap bytes: shard bookkeeping
+    /// Structural estimate of per-object heap bytes: slab bookkeeping
     /// plus the identity table, divided by the objects with state.
     /// The measured (allocator-level) figure lives in the bench
     /// harness; this gauge is the always-available approximation
     /// (readings themselves are accounted by `db.*`).
     #[must_use]
     pub fn estimated_bytes_per_object(&self) -> f64 {
-        let objects: usize = self.shards.iter().map(Shard::state_len).sum();
+        let (objects, state) = {
+            let state = self.shard.read();
+            (state.epochs.len(), state.heap_bytes())
+        };
         if objects == 0 {
             return 0.0;
         }
-        let state: usize = self.shards.iter().map(Shard::state_heap_bytes).sum();
         #[allow(clippy::cast_precision_loss)]
         {
             (state + self.idents.heap_bytes()) as f64 / objects as f64
@@ -1201,7 +1066,7 @@ impl LocationService {
     ) -> Result<Vec<mw_model::Glob>, CoreError> {
         let fix = self.locate(object, now)?;
         let chain = self.symbolic_snapshot().regions_for_rect(&fix.region);
-        let max_depth = self.shard(object).privacy_of(object);
+        let max_depth = self.shard.privacy_of(object);
         Ok(match max_depth {
             Some(d) => chain.into_iter().filter(|g| g.depth() <= d).collect(),
             None => chain,
@@ -1224,8 +1089,8 @@ impl LocationService {
     }
 
     /// Runs `f` with read access to the static spatial database (spatial
-    /// objects, sensor metadata, triggers). Live sensor readings are
-    /// shard-local — see [`reading_count`](LocationService::reading_count)
+    /// objects, sensor metadata, triggers). Live sensor readings are in
+    /// the service's own table — see [`reading_count`](LocationService::reading_count)
     /// and [`tracked_objects`](LocationService::tracked_objects).
     pub fn with_db<R>(&self, f: impl FnOnce(&SpatialDatabase) -> R) -> R {
         f(&self.statics.read())
@@ -1244,13 +1109,7 @@ impl LocationService {
     /// does not re-admit it.
     #[must_use]
     pub fn export_partition_state(&self, now: SimTime) -> PartitionState {
-        let mut readings: Vec<SensorReading> = Vec::new();
-        let mut last_good: Vec<LocationFix> = Vec::new();
-        for shard in self.shards.iter() {
-            let (r, f) = shard.export_state(now);
-            readings.extend(r);
-            last_good.extend(f);
-        }
+        let (mut readings, mut last_good) = self.shard.export_state(now);
         readings.sort_by(|a, b| {
             (&a.object, &a.sensor_id)
                 .cmp(&(&b.object, &b.sensor_id))
@@ -1268,20 +1127,15 @@ impl LocationService {
     }
 
     /// Imports a peer's partition snapshot: readings go through the
-    /// regular shard insert path (epoch bumps, cache invalidation,
+    /// regular insert path (epoch bumps, cache invalidation,
     /// supersede rules) *without* supervisor re-admission — the source
     /// node already admitted them — and last-known-good fixes seed the
     /// degradation ladder's LKG rung. Returns how many readings were
     /// imported.
     pub fn import_partition_state(&self, state: PartitionState, _now: SimTime) -> usize {
         let imported = state.readings.len();
-        let mut ops: HashMap<usize, Vec<ShardOp>> = HashMap::new();
-        for reading in state.readings {
-            ops.entry(self.shard_index(&reading.object))
-                .or_default()
-                .push(ShardOp::Insert(reading));
-        }
-        self.apply_ops(ops);
+        self.shard
+            .apply_ops(state.readings.into_iter().map(ShardOp::Insert).collect());
         for fix in state.last_good {
             self.import_last_good(fix);
         }
@@ -1294,7 +1148,7 @@ impl LocationService {
     /// locally computed fix for the same object overwrites it.
     pub fn import_last_good(&self, fix: LocationFix) {
         let object = fix.object.clone();
-        self.shards[self.shard_index(&object)].record_last_good(&object, fix);
+        self.shard.record_last_good(&object, fix);
     }
 
     // --- ingestion ---------------------------------------------------------
@@ -1316,8 +1170,8 @@ impl LocationService {
     }
 
     /// Ingests a batch of adapter outputs in one pass: readings are
-    /// grouped per object shard (one lock acquisition per touched shard
-    /// instead of one per reading) and subscriptions are evaluated once
+    /// applied under one write-lock acquisition instead of one per
+    /// reading, and subscriptions are evaluated once
     /// per affected object for the whole batch — one fusion per object,
     /// not one per reading. Semantically identical to calling
     /// [`ingest`](LocationService::ingest) per output at the same `now`,
@@ -1358,10 +1212,8 @@ impl LocationService {
         // quadratic over large batches).
         let mut affected: Vec<MobileObjectId> = Vec::new();
         let mut seen: HashSet<MobileObjectId> = HashSet::new();
-        // Per-shard operation queues, order-preserving within a shard
-        // (revocations and supersedes are per (sensor, object), so only
-        // same-shard order is observable).
-        let mut ops: HashMap<usize, Vec<ShardOp>> = HashMap::new();
+        // The batch's table mutations, in arrival order.
+        let mut ops: Vec<ShardOp> = Vec::new();
         let mut meta_rows: Vec<mw_spatial_db::SensorMetaRow> = Vec::new();
         {
             // Batch admission: the global supervisor mutex is taken once
@@ -1376,12 +1228,10 @@ impl LocationService {
             for output in outputs {
                 reading_count += output.readings.len() as u64;
                 for revocation in &output.revocations {
-                    ops.entry(self.shard_index(&revocation.object))
-                        .or_default()
-                        .push(ShardOp::Revoke(
-                            revocation.sensor_id.clone(),
-                            revocation.object.clone(),
-                        ));
+                    ops.push(ShardOp::Revoke(
+                        revocation.sensor_id.clone(),
+                        revocation.object.clone(),
+                    ));
                     if seen.insert(revocation.object.clone()) {
                         affected.push(revocation.object.clone());
                     }
@@ -1411,9 +1261,7 @@ impl LocationService {
                         confidence_percent: reading.spec.hit_probability() * 100.0,
                         time_to_live: reading.time_to_live,
                     });
-                    ops.entry(self.shard_index(&reading.object))
-                        .or_default()
-                        .push(ShardOp::Insert(reading));
+                    ops.push(ShardOp::Insert(reading));
                 }
             }
         }
@@ -1423,7 +1271,7 @@ impl LocationService {
                 statics.upsert_sensor_meta(row);
             }
         }
-        let invalidated = self.apply_ops(ops);
+        let invalidated = self.shard.apply_ops(ops);
         if let Some(supervisor) = &self.supervisor {
             supervisor
                 .lock()
@@ -1455,20 +1303,11 @@ impl LocationService {
             #[allow(clippy::cast_precision_loss)]
             metrics
                 .objects_tracked
-                .set(self.shards.iter().map(Shard::state_len).sum::<usize>() as f64);
+                .set(self.shard.read().epochs.len() as f64);
             metrics
                 .mem_bytes_per_object
                 .set(self.estimated_bytes_per_object());
         }
-    }
-
-    /// Applies the batch's per-shard op queues, each under its shard's
-    /// write lock (order is preserved *within* each shard's queue).
-    /// Returns the number of cache entries invalidated.
-    fn apply_ops(&self, ops: HashMap<usize, Vec<ShardOp>>) -> u64 {
-        ops.into_iter()
-            .map(|(index, shard_ops)| self.shards[index].apply_ops(shard_ops))
-            .sum()
     }
 
     /// Convenience: ingest a single reading.
@@ -1488,13 +1327,15 @@ impl LocationService {
         // the accuracy is always already known — check under the shared
         // read lock so concurrent ingest batches don't serialize on it.
         let known = |acc: &[f64]| acc.iter().any(|&x| (x - p).abs() < 1e-9);
-        if known(&self.sensor_accuracies.read()) {
+        if known(&self.sensor_accuracies.read().0) {
             return;
         }
-        let mut acc = self.sensor_accuracies.write();
+        let mut guard = self.sensor_accuracies.write();
+        let (acc, bands) = &mut *guard;
         // Re-check: another thread may have registered it between locks.
-        if !known(&acc) {
+        if !known(acc) {
             acc.push(p);
+            *bands = BandThresholds::from_sensor_accuracies(acc);
         }
     }
 
@@ -1502,13 +1343,13 @@ impl LocationService {
     /// sensor technology registered or seen so far.
     #[must_use]
     pub fn band_thresholds(&self) -> BandThresholds {
-        BandThresholds::from_sensor_accuracies(&self.sensor_accuracies.read())
+        self.sensor_accuracies.read().1
     }
 
     // --- object-based queries ----------------------------------------------
 
     /// One fusion pass over the object's live readings, served from the
-    /// shard's epoch-versioned cache when the reading set, query time and
+    /// epoch-versioned cache when the reading set, query time and
     /// excluded-sensor set all match a previous pass, re-weighted from
     /// the cached pass when only the query time moved, and fused in full
     /// otherwise — bit-identical to fusing fresh in every case (the
@@ -1529,17 +1370,12 @@ impl LocationService {
             .map(|s| s.lock().expect("supervisor lock poisoned").excluded())
             .unwrap_or_default();
         let excluded_key = excluded_fingerprint(&excluded);
-        let shard = self.shard(object);
-        // Fused under the shard's read lock, from its rows in place: a
-        // writer waits for one lattice build, and no reading is copied.
-        let fused = shard.read().fuse(
-            object,
-            now,
-            &excluded,
-            excluded_key,
-            &self.engine,
-            self.tuning.fusion_cache,
-        );
+        // Fused under the read lock, from the rows in place: a writer
+        // waits for one lattice build, and no reading is copied.
+        let fused = self
+            .shard
+            .read()
+            .fuse(object, now, &excluded, excluded_key, &self.engine);
         if let Some(metrics) = &self.metrics {
             match fused.kind {
                 FuseKind::Hit => metrics.cache_hits.inc(),
@@ -1550,19 +1386,9 @@ impl LocationService {
                 FuseKind::Full => metrics.cache_misses.inc(),
             }
         }
-        if self.tuning.fusion_cache && fused.kind != FuseKind::Hit {
-            shard.store_fusion(
-                object,
-                CachedFusion {
-                    epoch: fused.epoch,
-                    now,
-                    excluded_key,
-                    live_mask: fused.live_mask,
-                    result: Arc::clone(&fused.result),
-                    total: u32::try_from(fused.total).expect("reading count overflow"),
-                    used: u32::try_from(fused.used).expect("reading count overflow"),
-                },
-            );
+        if fused.kind != FuseKind::Hit {
+            self.shard
+                .store_fusion(object, fused.entry(now, excluded_key));
         }
         let attempt = FuseAttempt {
             result: SharedFusion::new(fused.result),
@@ -1631,7 +1457,7 @@ impl LocationService {
                 })?;
         let fix = self.resolve_fix(object, &estimate, now, &self.band_thresholds());
         if self.supervisor.is_some() {
-            self.shard(object).record_last_good(object, fix.clone());
+            self.shard.record_last_good(object, fix.clone());
         }
         Ok((fix, attempt.quality()))
     }
@@ -1642,7 +1468,7 @@ impl LocationService {
     /// universe). `None` when no cached fix exists or it is older than
     /// `lkg_max_age`.
     fn last_known_answer(&self, q: &LocationQuery) -> Option<QueryAnswer> {
-        let cached = self.shard(&q.object).last_good(&q.object)?;
+        let cached = self.shard.last_good(&q.object)?;
         let age = q.now.saturating_since(cached.at);
         if age > self.degradation.lkg_max_age {
             return None;
@@ -1757,20 +1583,23 @@ impl LocationService {
     /// [`CoreError::DeadlineExceeded`] with no cached fix) instead of
     /// paying for a fusion it can no longer afford.
     pub fn query(&self, q: LocationQuery) -> Result<QueryAnswer, CoreError> {
-        let started = std::time::Instant::now();
+        // Only a supervised service serves deadlines, so only it reads
+        // the clock for one.
+        let deadline = q
+            .deadline
+            .filter(|_| self.supervisor.is_some())
+            .map(|budget| (std::time::Instant::now(), budget));
         let _timer = self.metrics.as_ref().map(|m| {
             m.query_count.inc();
             m.query_latency.start_timer()
         });
-        if self.supervisor.is_some() {
-            if let Some(budget) = q.deadline {
-                if started.elapsed() >= budget {
-                    return self
-                        .last_known_answer(&q)
-                        .ok_or_else(|| CoreError::DeadlineExceeded {
-                            object: q.object.to_string(),
-                        });
-                }
+        if let Some((started, budget)) = deadline {
+            if started.elapsed() >= budget {
+                return self
+                    .last_known_answer(&q)
+                    .ok_or_else(|| CoreError::DeadlineExceeded {
+                        object: q.object.to_string(),
+                    });
             }
         }
         let primary = match q.target {
@@ -1878,7 +1707,7 @@ impl LocationService {
     /// "Who are the people in room 3105?" — all tracked objects inside the
     /// named region with probability at least `min_probability`.
     ///
-    /// Answered from the shards' occupancy snapshots whenever skipping
+    /// Answered from the occupancy snapshot whenever skipping
     /// the rest of the population is exact (`DESIGN.md` §10): take an
     /// object none of whose stored readings overlaps `R` with positive
     /// area, all undecaying with `h_i ≥ q_i`. Whatever subset of them
@@ -1907,18 +1736,16 @@ impl LocationService {
         let prune = self.supervisor.is_none()
             && self.engine.aging_inflation() <= 0.0
             && min_probability > prior_share * (1.0 + 1e-9);
-        let mut objects = Vec::new();
-        for shard in self.shards.iter() {
-            if prune {
-                let (scanned, kept) = shard.region_candidates(&rect, universe.area(), &mut objects);
-                if let Some(metrics) = &self.metrics {
-                    metrics.region_scanned.add(scanned as u64);
-                    metrics.region_kept.add(kept as u64);
-                }
-            } else {
-                objects.extend(shard.tracked_objects(now));
+        let objects = if prune {
+            let (objects, scanned) = self.shard.region_candidates(&rect, universe.area());
+            if let Some(metrics) = &self.metrics {
+                metrics.region_scanned.add(scanned as u64);
+                metrics.region_kept.add(objects.len() as u64);
             }
-        }
+            objects
+        } else {
+            self.tracked_objects(now)
+        };
         let mut out = Vec::new();
         for object in objects {
             let p = self.rect_probability(&object, &rect, now).unwrap_or(0.0);
@@ -2069,7 +1896,7 @@ impl LocationService {
     fn evaluate_candidates(&self, object: &MobileObjectId, now: SimTime) -> ObjectEvaluation {
         let _timer = self.metrics.as_ref().map(|m| m.match_latency.start_timer());
         // One shared fusion pass per object per batch: the fresh fuse
-        // lands in the shard cache, so queries arriving at the same
+        // lands in the cache, so queries arriving at the same
         // instant reuse the lattice instead of rebuilding it.
         // Quarantined sensors are excluded here too; conflict feedback is
         // left to the query path so health counters stay deterministic.
@@ -2191,7 +2018,7 @@ impl LocationService {
         let world = self.world_snapshot();
         let mut symbolic = world.symbolic_for_rect(&estimate.region);
         let mut region = estimate.region;
-        if let Some(max_depth) = self.shard(object).privacy_of(object) {
+        if let Some(max_depth) = self.shard.privacy_of(object) {
             if let Some(glob) = symbolic.take() {
                 let truncated = glob.truncated(max_depth);
                 if let Ok(rect) = world.region_rect(&truncated.to_string()) {
@@ -2254,12 +2081,12 @@ impl LocationService {
     /// truncated to `max_depth` segments and coordinates coarsened to the
     /// revealed region (§4.5).
     pub fn set_privacy(&self, object: MobileObjectId, max_depth: usize) {
-        self.shard(&object).set_privacy(&object, max_depth);
+        self.shard.set_privacy(&object, max_depth);
     }
 
     /// Removes `object`'s privacy constraint.
     pub fn clear_privacy(&self, object: &MobileObjectId) {
-        self.shard(object).clear_privacy(object);
+        self.shard.clear_privacy(object);
     }
 
     // --- spatial relationships (§4.6) ----------------------------------------
@@ -2717,7 +2544,7 @@ mod tests {
         let broker = Broker::new();
         let registry = MetricsRegistry::new();
         let mut db = sample_db();
-        // A seeded reading is migrated into a shard, never counted.
+        // A seeded reading is migrated into the table, never counted.
         db.readings_mut()
             .insert(reading("bob", rect(319.0, 9.0, 321.0, 11.0), 0.0));
         let svc =
@@ -3404,11 +3231,10 @@ mod tests {
 
     // --- region queries: the occupancy snapshot's life cycle ---------------
 
-    /// `(snapshot tag, reading-table version)` of `object`'s shard.
-    fn occupancy_versions(svc: &LocationService, object: &str) -> (Option<u64>, u64) {
-        let shard = svc.shard(&object.into());
-        let version = shard.read().readings_version;
-        let tag = shard.occupancy.lock().as_ref().map(|o| o.version);
+    /// `(snapshot tag, reading-table version)`.
+    fn occupancy_versions(svc: &LocationService) -> (Option<u64>, u64) {
+        let version = svc.shard.read().readings_version;
+        let tag = svc.shard.occupancy.lock().as_ref().map(|o| o.version);
         (tag, version)
     }
 
@@ -3425,23 +3251,23 @@ mod tests {
         let (svc, _broker) = service();
         let in_room = rect(339.0, 9.0, 341.0, 11.0);
         let in_corridor = rect(319.0, 9.0, 321.0, 11.0);
-        assert_eq!(occupancy_versions(&svc, "alice"), (None, 0));
+        assert_eq!(occupancy_versions(&svc), (None, 0));
 
         // Ingest: the query builds the snapshot at the table's version.
         svc.ingest_reading(reading("alice", in_room, 0.0), SimTime::ZERO);
-        assert_eq!(occupancy_versions(&svc, "alice"), (None, 1));
+        assert_eq!(occupancy_versions(&svc), (None, 1));
         assert_eq!(who_is_in(&svc, "CS/Floor3/3105", 1.0), vec!["alice".into()]);
-        assert_eq!(occupancy_versions(&svc, "alice"), (Some(1), 1));
+        assert_eq!(occupancy_versions(&svc), (Some(1), 1));
 
         // A supersede leaves the snapshot stale until the next query.
         svc.ingest_reading(reading("alice", in_corridor, 2.0), SimTime::from_secs(2.0));
-        assert_eq!(occupancy_versions(&svc, "alice"), (Some(1), 2));
+        assert_eq!(occupancy_versions(&svc), (Some(1), 2));
         assert!(who_is_in(&svc, "CS/Floor3/3105", 3.0).is_empty());
         assert_eq!(
             who_is_in(&svc, "CS/Floor3/LabCorridor", 3.0),
             vec!["alice".into()]
         );
-        assert_eq!(occupancy_versions(&svc, "alice"), (Some(2), 2));
+        assert_eq!(occupancy_versions(&svc), (Some(2), 2));
 
         // So does a revocation.
         svc.ingest(
@@ -3454,16 +3280,16 @@ mod tests {
             },
             SimTime::from_secs(4.0),
         );
-        assert_eq!(occupancy_versions(&svc, "alice"), (Some(2), 3));
+        assert_eq!(occupancy_versions(&svc), (Some(2), 3));
         assert!(who_is_in(&svc, "CS/Floor3/LabCorridor", 4.0).is_empty());
-        assert_eq!(occupancy_versions(&svc, "alice"), (Some(3), 3));
+        assert_eq!(occupancy_versions(&svc), (Some(3), 3));
 
         // And the construction-time seed migration.
-        svc.shard(&"alice".into())
+        svc.shard
             .seed_readings(vec![reading("alice", in_room, 5.0)]);
-        assert_eq!(occupancy_versions(&svc, "alice"), (Some(3), 4));
+        assert_eq!(occupancy_versions(&svc), (Some(3), 4));
         assert_eq!(who_is_in(&svc, "CS/Floor3/3105", 5.0), vec!["alice".into()]);
-        assert_eq!(occupancy_versions(&svc, "alice"), (Some(4), 4));
+        assert_eq!(occupancy_versions(&svc), (Some(4), 4));
     }
 
     #[test]
@@ -3473,7 +3299,7 @@ mod tests {
             .insert(reading("alice", rect(339.0, 9.0, 341.0, 11.0), 0.0));
         let broker = Broker::new();
         let svc = LocationService::new(db, rect(0.0, 0.0, 500.0, 100.0), &broker);
-        assert_eq!(occupancy_versions(&svc, "alice"), (None, 1));
+        assert_eq!(occupancy_versions(&svc), (None, 1));
         assert_eq!(who_is_in(&svc, "CS/Floor3/3105", 1.0), vec!["alice".into()]);
     }
 
@@ -3503,7 +3329,7 @@ mod tests {
         svc.ingest_reading(decaying, SimTime::ZERO);
         let alice: MobileObjectId = "alice".into();
         let cached = || {
-            let state = svc.shard(&alice).read();
+            let state = svc.shard.read();
             let slot = state.slot(&alice).expect("tracked");
             Arc::clone(&state.cache_entry(slot, 0).expect("cached").result)
         };
@@ -3520,6 +3346,39 @@ mod tests {
         assert_eq!(format!("{held:?}"), snapshot);
     }
 
+    /// A result fused before a writer's batch and stored after it must
+    /// never be served: the store keeps the epoch the rows were read
+    /// under, so the entry is orphaned on arrival. The lockstep oracles
+    /// cannot schedule this race, so it is driven directly.
+    #[test]
+    fn a_store_that_lost_the_race_is_dropped() {
+        let (svc, _broker) = service();
+        let alice: MobileObjectId = "alice".into();
+        svc.ingest_reading(
+            reading("alice", rect(339.0, 9.0, 341.0, 11.0), 0.0),
+            SimTime::ZERO,
+        );
+        let now = SimTime::from_secs(1.0);
+        // A reader fuses under the read lock …
+        let stale = svc
+            .shard
+            .read()
+            .fuse(&alice, now, &HashSet::new(), 0, &svc.engine);
+        // … a writer's batch moves alice before the reader stores.
+        svc.ingest_reading(
+            reading("alice", rect(319.0, 9.0, 321.0, 11.0), 0.5),
+            SimTime::from_secs(0.5),
+        );
+        svc.shard.store_fusion(&alice, stale.entry(now, 0));
+        {
+            let state = svc.shard.read();
+            let slot = state.slot(&alice).expect("tracked");
+            assert!(state.cache_entry(slot, 0).is_none());
+        }
+        let fix = svc.locate(&alice, now).unwrap();
+        assert_eq!(fix.symbolic.unwrap().to_string(), "CS/Floor3/LabCorridor");
+    }
+
     #[test]
     fn cache_miss_fusion_store_does_not_rebuild_the_snapshot() {
         let (svc, _broker) = service();
@@ -3528,60 +3387,59 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(who_is_in(&svc, "CS/Floor3/3105", 1.0), vec!["alice".into()]);
-        assert_eq!(occupancy_versions(&svc, "alice"), (Some(1), 1));
+        assert_eq!(occupancy_versions(&svc), (Some(1), 1));
         // A new query time misses the fusion cache, and storing the fresh
-        // result takes the shard's write lock — which must not count as
-        // a reading-table write.
+        // result takes the write lock — which must not count as a
+        // reading-table write.
         let epoch = svc.object_epoch(&"alice".into());
         svc.locate(&"alice".into(), SimTime::from_secs(2.0))
             .unwrap();
-        let state = svc.shard(&"alice".into()).read();
+        let state = svc.shard.read();
         let slot = state.slot(&"alice".into()).expect("tracked");
         assert!(state
             .cache_entry(slot, 0)
             .is_some_and(|c| c.now == SimTime::from_secs(2.0)));
         drop(state);
         assert_eq!(svc.object_epoch(&"alice".into()), epoch);
-        assert_eq!(occupancy_versions(&svc, "alice"), (Some(1), 1));
+        assert_eq!(occupancy_versions(&svc), (Some(1), 1));
         assert_eq!(who_is_in(&svc, "CS/Floor3/3105", 2.0), vec!["alice".into()]);
-        assert_eq!(occupancy_versions(&svc, "alice"), (Some(1), 1));
+        assert_eq!(occupancy_versions(&svc), (Some(1), 1));
     }
 
+    /// The service's whole candidate set for a region far from every
+    /// reading holds exactly the objects the bound does not cover.
     #[test]
     fn unbounded_readings_land_on_the_always_list() {
-        let area = 500.0 * 100.0;
         let far_away = rect(10.0, 60.0, 20.0, 70.0);
-        let candidates = |svc: &LocationService, object: &str| {
-            let mut out = Vec::new();
-            svc.shard(&object.into())
-                .region_candidates(&far_away, area, &mut out);
-            out
-        };
+        let candidates =
+            |svc: &LocationService| svc.shard.region_candidates(&far_away, 500.0 * 100.0).0;
         let in_room = rect(339.0, 9.0, 341.0, 11.0);
 
         // A plain reading elsewhere is not a candidate …
         let (svc, _broker) = service();
         svc.ingest_reading(reading("alice", in_room, 0.0), SimTime::ZERO);
-        assert!(candidates(&svc, "alice").is_empty());
+        svc.ingest_reading(reading("dave", in_room, 0.0), SimTime::ZERO);
+        assert!(candidates(&svc).is_empty());
 
         // … one spanning more cells than the grid enumerates is, …
         let mut huge = reading("alice", rect(-3000.0, -3000.0, 4000.0, 4000.0), 0.0);
         huge.sensor_id = "RF-1".into();
         svc.ingest_reading(huge, SimTime::ZERO);
-        assert_eq!(candidates(&svc, "alice"), vec!["alice".into()]);
+        assert_eq!(candidates(&svc), vec!["alice".into()]);
 
         // … and so is a decaying one, and one with `h < q`.
         let (svc, _broker) = service();
+        svc.ingest_reading(reading("dave", in_room, 0.0), SimTime::ZERO);
         let mut decaying = reading("bob", in_room, 0.0);
         decaying.tdf = TemporalDegradation::Linear {
             lifetime: SimDuration::from_secs(30.0),
         };
         svc.ingest_reading(decaying, SimTime::ZERO);
-        assert_eq!(candidates(&svc, "bob"), vec!["bob".into()]);
+        assert_eq!(candidates(&svc), vec!["bob".into()]);
         let mut rarely_carried = reading("carol", in_room, 0.0);
         rarely_carried.spec = SensorSpec::ubisense(0.1);
         svc.ingest_reading(rarely_carried, SimTime::ZERO);
-        assert_eq!(candidates(&svc, "carol"), vec!["carol".into()]);
+        assert_eq!(candidates(&svc), vec!["bob".into(), "carol".into()]);
     }
 
     /// The re-check keeps exactly the objects the pruning bound keeps:
@@ -3628,11 +3486,7 @@ mod tests {
         svc.ingest_reading(decaying, SimTime::ZERO);
 
         let room = svc.world_snapshot().region_rect("CS/Floor3/RoomA").unwrap();
-        let mut candidates = Vec::new();
-        for shard in svc.shards.iter() {
-            shard.region_candidates(&room, 500.0 * 100.0, &mut candidates);
-        }
-        candidates.sort();
+        let (candidates, _) = svc.shard.region_candidates(&room, 500.0 * 100.0);
         let expected: Vec<MobileObjectId> = vec!["a1".into(), "a2".into(), "d_far".into()];
         assert_eq!(candidates, expected);
 

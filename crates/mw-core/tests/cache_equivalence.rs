@@ -1,5 +1,6 @@
-//! Property: the sharded, epoch-cached service is observationally
-//! identical to a single-shard, cache-free service fed the same inputs.
+//! Property: the epoch-cached service answers exactly like the
+//! public-API reference in `reference/`, whose every answer is a fresh,
+//! uncached `FusionEngine::fuse`.
 //!
 //! The fusion cache returns `Arc`-shared results keyed on (epoch, query
 //! time, excluded-sensor fingerprint), and query-region evaluation runs
@@ -7,18 +8,28 @@
 //! observable answer — probability, region, band, and answer quality —
 //! is *bit-identical* to what a fresh fuse would produce. This test
 //! drives arbitrary interleavings of ingests, revocations, and queries
-//! over several objects through both configurations and demands exact
-//! equality (`==` on `f64`s, not approximate).
+//! over several objects through the service and the reference and
+//! demands exact equality (`==` on `f64`s, not approximate).
+//!
+//! Each query is asked twice at one instant, with a `locate` after each
+//! ask, so three of the four fuses are cache hits. An equivalence check
+//! alone cannot see a cache that never stores (every answer is then a
+//! correct fresh fuse), so the hit and miss counters are pinned too:
+//! exactly one miss and three hits per query step.
+
+mod reference;
 
 use std::sync::Arc;
 
 use mw_bus::Broker;
-use mw_core::{LocationQuery, LocationService, ServiceTuning};
+use mw_core::{LocationQuery, LocationService};
 use mw_geometry::{Point, Polygon, Rect};
 use mw_model::{SimDuration, SimTime, TemporalDegradation};
+use mw_obs::MetricsRegistry;
 use mw_sensors::{AdapterOutput, Revocation, SensorReading, SensorSpec};
 use mw_spatial_db::{Geometry, ObjectType, SpatialDatabase, SpatialObject};
 use proptest::prelude::*;
+use reference::{Answer, Reference};
 
 const OBJECTS: &[&str] = &["alice", "bob", "carol"];
 const SENSORS: &[&str] = &["Ubi-1", "Ubi-2", "RF-1"];
@@ -66,8 +77,7 @@ enum Op {
         object: usize,
     },
     /// Probability that `object` is inside `rect`, asked twice in a row
-    /// so the second ask exercises the cache-hit path on the tuned
-    /// service.
+    /// so the second ask exercises the cache-hit path.
     Query {
         object: usize,
         rect: Rect,
@@ -114,31 +124,30 @@ fn reading(sensor: usize, object: usize, center: Point, at: SimTime, ttl: f64) -
     }
 }
 
-fn build(tuning: ServiceTuning) -> Arc<LocationService> {
+fn build() -> (Arc<LocationService>, MetricsRegistry, Reference) {
     let broker = Broker::new();
-    LocationService::new_with_tuning(floor_db(), universe(), &broker, tuning)
+    let registry = MetricsRegistry::new();
+    let service = LocationService::new_with_obs(floor_db(), universe(), &broker, &registry);
+    (service, registry, Reference::new(&floor_db(), universe()))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn cached_sharded_service_answers_bit_identically(
+    fn cached_service_answers_like_the_reference(
         ops in proptest::collection::vec(op(), 1..40),
     ) {
-        let tuned = build(ServiceTuning::default());
-        let plain = build(ServiceTuning {
-            shards: 1,
-            fusion_cache: false,
-        });
+        let (service, registry, mut model) = build();
+        let mut queries = 0u64;
 
         for (step, op) in ops.iter().enumerate() {
             let now = SimTime::from_secs(step as f64);
             match *op {
                 Op::Ingest { sensor, object, center, ttl_secs } => {
-                    let r = reading(sensor, object, center, now, ttl_secs);
-                    tuned.ingest_reading(r.clone(), now);
-                    plain.ingest_reading(r, now);
+                    let out = AdapterOutput::single(reading(sensor, object, center, now, ttl_secs));
+                    model.ingest(&out, now);
+                    service.ingest(out, now);
                 }
                 Op::Revoke { sensor, object } => {
                     let out = AdapterOutput {
@@ -148,51 +157,73 @@ proptest! {
                             object: OBJECTS[object].into(),
                         }],
                     };
-                    tuned.ingest(out.clone(), now);
-                    plain.ingest(out, now);
+                    model.ingest(&out, now);
+                    service.ingest(out, now);
                 }
                 Op::Query { object, rect } => {
-                    // Ask twice: the first ask fills the tuned service's
-                    // cache, the second must be served from it. Both must
-                    // match the cache-free baseline exactly.
-                    for _ in 0..2 {
-                        let q = || LocationQuery::of(OBJECTS[object]).in_rect(rect).at(now);
-                        let a = tuned.query(q());
-                        let b = plain.query(q());
-                        match (&a, &b) {
-                            (Ok(a), Ok(b)) => {
-                                prop_assert_eq!(a.probability(), b.probability(),
-                                    "probability diverged at step {}", step);
-                                prop_assert_eq!(a.band(), b.band(),
-                                    "band diverged at step {}", step);
-                                prop_assert_eq!(a.quality(), b.quality(),
-                                    "quality diverged at step {}", step);
-                            }
-                            (Err(_), Err(_)) => {}
-                            _ => prop_assert!(false,
-                                "one service errored at step {step}: {a:?} vs {b:?}"),
-                        }
+                    queries += 1;
+                    let expected = model.query_rect(OBJECTS[object], rect, now);
+                    let expected_fix = model.locate(OBJECTS[object], now);
+                    // Ask twice: the first ask fills the cache, the
+                    // second must be served from it. Both must match the
+                    // uncached reference exactly.
+                    for ask in 0..2 {
+                        let answer = Answer::of(service.query(
+                            LocationQuery::of(OBJECTS[object]).in_rect(rect).at(now),
+                        ));
+                        prop_assert_eq!(&answer, &expected,
+                            "probability, band or quality diverged at step {} (ask {})",
+                            step, ask);
                         // Full fixes (region + symbolic resolution) must
                         // agree too when the object is locatable.
-                        let fa = tuned.locate(&OBJECTS[object].into(), now);
-                        let fb = plain.locate(&OBJECTS[object].into(), now);
-                        match (fa, fb) {
-                            (Ok(fa), Ok(fb)) => prop_assert!(
-                                fa == fb,
-                                "locate diverged at step {}: {:?} vs {:?}", step, fa, fb
+                        let fix = service.locate(&OBJECTS[object].into(), now);
+                        match (&fix, &expected_fix) {
+                            (Ok(fix), Answer::Fix(want, _)) => prop_assert!(
+                                fix == want,
+                                "locate diverged at step {}: {:?} vs {:?}", step, fix, want
                             ),
-                            (Err(_), Err(_)) => {}
-                            (fa, fb) => prop_assert!(false,
-                                "locate diverged at step {step}: {fa:?} vs {fb:?}"),
+                            (Err(_), Answer::Error) => {}
+                            _ => prop_assert!(false,
+                                "locate diverged at step {step}: {fix:?} vs {expected_fix:?}"),
                         }
                     }
                 }
             }
-            prop_assert_eq!(tuned.reading_count(), plain.reading_count());
+            prop_assert_eq!(service.reading_count(), model.reading_count());
         }
 
         // The same objects are tracked at the end, in the same order.
         let end = SimTime::from_secs(ops.len() as f64);
-        prop_assert_eq!(tuned.tracked_objects(end), plain.tracked_objects(end));
+        prop_assert_eq!(service.tracked_objects(end), model.tracked_objects(end));
+
+        // No rules are registered, so only queries fuse: per query step
+        // the first ask misses (or re-weights) and stores, the three
+        // fuses after it at the same instant hit.
+        let snap = registry.snapshot();
+        prop_assert_eq!(snap.counter("fusion.cache.misses").unwrap_or(0), queries);
+        prop_assert_eq!(snap.counter("fusion.cache.hits").unwrap_or(0), 3 * queries);
     }
+}
+
+/// A directed case, so `fusion.cache.hits > 0` holds in the suite
+/// whatever schedules the generator draws.
+#[test]
+fn repeated_asks_are_served_from_the_cache() {
+    let (service, registry, mut model) = build();
+    let now = SimTime::from_secs(1.0);
+    let out = AdapterOutput::single(reading(0, 0, Point::new(25.0, 50.0), now, 1e6));
+    model.ingest(&out, now);
+    service.ingest(out, now);
+    let room = Rect::new(Point::new(0.0, 0.0), Point::new(50.0, 100.0));
+    let expected = model.query_rect("alice", room, now);
+    for _ in 0..3 {
+        let answer = Answer::of(service.query(LocationQuery::of("alice").in_rect(room).at(now)));
+        assert_eq!(answer, expected);
+    }
+    let hits = registry
+        .snapshot()
+        .counter("fusion.cache.hits")
+        .unwrap_or(0);
+    assert!(hits > 0, "fusion.cache.hits = {hits}");
+    assert_eq!(hits, 2);
 }

@@ -1,5 +1,5 @@
 //! Property: the service's per-object state — the interned slab over
-//! each shard's reading table, the fusion cache, privacy and
+//! its reading table, the fusion cache, privacy and
 //! last-known-good (`DESIGN.md` §14) — answers exactly like the
 //! string-keyed public-API model in `reference/`.
 //!

@@ -1,7 +1,7 @@
 //! A string-keyed reference model of the Location Service, built from
 //! public API only.
 //!
-//! It shares no code with the service's shard layer or rule engine: no
+//! It shares no code with the service's per-object slab or rule engine: no
 //! `SensorReadingTable`, no interner, no slab, no fusion cache, no DAG,
 //! no interest grid, no candidate selection. Readings live in
 //! `BTreeMap<object, BTreeMap<sensor, reading>>`, so the live set handed

@@ -1,4 +1,4 @@
-//! Property: `objects_in_region` answered from the per-shard occupancy
+//! Property: `objects_in_region` answered from the occupancy
 //! snapshot is *byte-identical* — membership, probabilities, order, ties
 //! — to the exhaustive walk it replaced.
 //!
@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use mw_bus::Broker;
-use mw_core::{LocationQuery, LocationService, ServiceTuning};
+use mw_core::{LocationQuery, LocationService};
 use mw_fusion::FusionEngine;
 use mw_geometry::{Point, Polygon, Rect};
 use mw_model::{SimDuration, SimTime, TemporalDegradation};
@@ -202,10 +202,10 @@ fn sensor_id(sensor: usize) -> SensorId {
 #[derive(Clone, Copy)]
 enum Variant {
     /// Unsupervised, the paper's model: the snapshot answers every
-    /// threshold above the prior share. With one shard all 30 objects
-    /// share a snapshot, so equal posteriors — whose order the
-    /// candidates' id order decides — are common.
-    Indexed { shards: usize },
+    /// threshold above the prior share. All 30 objects share the one
+    /// snapshot, so equal posteriors — whose order the candidates' id
+    /// order decides — are common.
+    Indexed,
     /// Fall-back 1: a scan feeds conflict outcomes to the supervisor.
     Supervised,
     /// Fall-back 2: evidence rects outgrow the stored rects.
@@ -222,15 +222,7 @@ fn build(variant: Variant) -> Service {
     let broker = Broker::new();
     let mut health = None;
     let service = match variant {
-        Variant::Indexed { shards } => LocationService::new_with_tuning(
-            floor_db(),
-            universe(),
-            &broker,
-            ServiceTuning {
-                shards,
-                ..ServiceTuning::default()
-            },
-        ),
+        Variant::Indexed => LocationService::new(floor_db(), universe(), &broker),
         Variant::Supervised => {
             let registry = MetricsRegistry::new();
             let supervisor = SensorSupervisor::new(HealthConfig::new(universe())).shared();
@@ -399,8 +391,7 @@ proptest! {
     fn snapshot_answers_equal_the_exhaustive_walk(
         ops in proptest::collection::vec(op(), 1..60),
     ) {
-        run(Variant::Indexed { shards: 16 }, &ops)?;
-        run(Variant::Indexed { shards: 1 }, &ops)?;
+        run(Variant::Indexed, &ops)?;
     }
 }
 
@@ -439,12 +430,10 @@ fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Rect {
     Rect::new(Point::new(x0, y0), Point::new(x1, y1))
 }
 
-/// Runs `ops`, then scans every room, on one shard (a single snapshot
-/// holds every object) and on sixteen.
+/// Runs `ops`, then scans every room.
 fn run_scripted(mut ops: Vec<Op>) -> Result<(), TestCaseError> {
     ops.extend((0..ROOMS).map(|room| Op::Scan { room }));
-    run(Variant::Indexed { shards: 1 }, &ops)?;
-    run(Variant::Indexed { shards: 16 }, &ops)
+    run(Variant::Indexed, &ops)
 }
 
 /// Readings that touch the scanned room only along an edge or at a

@@ -21,7 +21,7 @@ mod reference;
 use std::sync::Arc;
 
 use mw_bus::Broker;
-use mw_core::{LocationQuery, LocationService, ServiceTuning};
+use mw_core::{LocationQuery, LocationService};
 use mw_fusion::FusionEngine;
 use mw_geometry::{Point, Polygon, Rect};
 use mw_model::{SimDuration, SimTime, TemporalDegradation};
@@ -110,7 +110,7 @@ fn half_life(secs: f64) -> TemporalDegradation {
     }
 }
 
-/// The service under test (16 shards, fusion cache on), its registry,
+/// The service under test, its registry,
 /// and the model, fed identical inputs.
 struct Twin {
     service: Arc<LocationService>,
@@ -123,13 +123,7 @@ impl Twin {
     fn new() -> Twin {
         let broker = Broker::new();
         let registry = MetricsRegistry::new();
-        let service = LocationService::new_with_tuning_and_obs(
-            floor_db(),
-            universe(),
-            &broker,
-            &registry,
-            ServiceTuning::default(),
-        );
+        let service = LocationService::new_with_obs(floor_db(), universe(), &broker, &registry);
         Twin {
             service,
             registry,

@@ -21,9 +21,7 @@ mod reference;
 use std::sync::Arc;
 
 use mw_bus::Broker;
-use mw_core::{
-    LocationService, Notification, Predicate, Rule, ServiceTuning, SubscriptionId, SubscriptionSpec,
-};
+use mw_core::{LocationService, Notification, Predicate, Rule, SubscriptionId, SubscriptionSpec};
 use mw_geometry::{Point, Polygon, Rect};
 use mw_model::{SimDuration, SimTime, TemporalDegradation};
 use mw_obs::MetricsRegistry;
@@ -505,8 +503,7 @@ fn dwell_is_observed_only_at_fuses_across_quarantine() {
 #[test]
 fn dwell_matures_across_unchanged_evidence() {
     let broker = Broker::new();
-    let service =
-        LocationService::new_with_tuning(floor_db(), universe(), &broker, ServiceTuning::default());
+    let service = LocationService::new(floor_db(), universe(), &broker);
     let id = service.subscribe_rule(dwell_rule(4.0));
 
     // t=0..3: the identical reading every second (long TTL, no

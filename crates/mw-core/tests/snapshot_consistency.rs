@@ -1,9 +1,9 @@
-//! Snapshot-consistency stress for the locked shard layout
+//! Snapshot-consistency stress for the locked per-object state
 //! (`DESIGN.md` §10): N reader threads spin on `query()` while a writer
 //! ingests generation-tagged batches, and every answer must correspond
 //! to **exactly one** ingested generation — no torn reads — and never
 //! to one older than the last batch that had completed when the query
-//! began (a batch is applied under one shard write lock, so readers
+//! began (a batch is applied under one write lock, so readers
 //! serialize with it).
 //!
 //! The generation tag is embedded in the value: batch `g` writes two
@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mw_bus::Broker;
-use mw_core::{LocationFix, LocationQuery, LocationService, ServiceTuning};
+use mw_core::{LocationFix, LocationQuery, LocationService};
 use mw_geometry::{Point, Polygon, Rect};
 use mw_model::{SimDuration, SimTime, TemporalDegradation};
 use mw_sensors::{AdapterOutput, SensorReading, SensorSpec};
@@ -95,17 +95,7 @@ fn batch_of(g: u64) -> Vec<AdapterOutput> {
 
 fn service() -> Arc<LocationService> {
     let broker = Broker::new();
-    LocationService::new_with_tuning(
-        floor_db(),
-        universe(),
-        &broker,
-        ServiceTuning {
-            // One shard maximizes writer/reader collisions on the
-            // object under test.
-            shards: 1,
-            ..ServiceTuning::default()
-        },
-    )
+    LocationService::new(floor_db(), universe(), &broker)
 }
 
 /// The exact fix each generation must produce, computed on a quiet

@@ -137,7 +137,7 @@ impl SpatialDatabase {
 
     /// Mutable access to the sensor-reading table. Bypasses triggers —
     /// meant for bulk migration of readings between stores (e.g. into
-    /// per-shard tables), not for normal ingest.
+    /// the Location Service's own table), not for normal ingest.
     pub fn readings_mut(&mut self) -> &mut SensorReadingTable {
         &mut self.readings
     }

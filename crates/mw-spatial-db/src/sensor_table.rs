@@ -27,7 +27,7 @@ use mw_sensors::{MobileObjectId, SensorId, SensorReading};
 /// dominated by exactly this table.
 ///
 /// The table owns the `db.*` reading counters (`DESIGN.md` §8), so a
-/// [`crate::SpatialDatabase`] and a bare per-shard table count alike.
+/// [`crate::SpatialDatabase`] and the Location Service's bare table count alike.
 #[derive(Debug, Clone, Default)]
 pub struct SensorReadingTable {
     #[allow(clippy::vec_box)] // thin rows: see capacity note above
@@ -103,7 +103,7 @@ impl SensorReadingTable {
     }
 
     /// Removes and returns every stored reading (expired rows included) —
-    /// used to migrate a pre-populated table into per-shard storage.
+    /// used to migrate a pre-populated table into the service's own table.
     pub fn drain(&mut self) -> Vec<SensorReading> {
         self.len = 0;
         self.rows
