@@ -173,13 +173,16 @@ impl ServerCounters {
     }
 }
 
-/// One registered client's outbound frames: the forward loop pushes, the
-/// client's writer thread parks on it.
+/// One registered client's outbound frames: the publishing thread pushes,
+/// the client's writer thread parks on it.
 type ClientQueue = BoundedQueue<Arc<Frame>>;
 
-/// State shared between the forward loop and per-client threads. One
-/// lock covers sequence assignment, the replay buffer, and the client
-/// registry so a registering client sees a consistent snapshot.
+/// State shared between the topic's publishing threads and the
+/// per-client threads. One lock covers sequence assignment, the replay
+/// buffer, and the client registry so a registering client sees a
+/// consistent snapshot. A publish takes it under the topic lock (lock
+/// order: topic, then this, then a client queue's); nothing here takes
+/// the topic lock.
 #[derive(Debug, Default)]
 struct ServerShared {
     /// Next sequence number to assign; sequence numbers start at 1.
@@ -200,6 +203,9 @@ impl ServerShared {
 
 /// Exports one typed topic over TCP: every message published on the
 /// topic after a client connects is forwarded to that client.
+///
+/// Forwarding runs on the thread that publishes; the server itself runs
+/// one accept thread plus one writer thread per client.
 #[derive(Debug)]
 pub struct RemoteTopicServer {
     local_addr: SocketAddr,
@@ -241,9 +247,39 @@ impl RemoteTopicServer {
         let counters = Arc::new(ServerCounters::new(options.metrics.as_ref()));
         let shared = Arc::new(Mutex::new(ServerShared::new()));
 
-        // Subscribe before spawning anything so no published message can
-        // slip past the forwarder.
-        let subscription = topic.subscribe();
+        // Forwarding runs on the publishing thread, under the topic lock
+        // (so in publish order): sequence assignment -> replay buffer ->
+        // per-client queues, each push waking that client's writer. It
+        // is registered before anything is spawned, so no published
+        // message can slip past it; `stop` unsubscribes it.
+        {
+            let counters = Arc::clone(&counters);
+            let shared = Arc::clone(&shared);
+            let replay_capacity = options.replay_capacity;
+            topic.subscribe_sink(Arc::clone(&stop), move |message: &T| {
+                // Encoded outside `shared`; the sequence number is
+                // stamped under it. An unserializable message is skipped
+                // without using one up.
+                let Ok(mut frame) = Frame::data(0, message) else {
+                    return;
+                };
+                let mut state = shared.lock();
+                frame.seq = state.next_seq;
+                state.next_seq += 1;
+                let frame = Arc::new(frame);
+                state.replay.push_back(Arc::clone(&frame));
+                if state.replay.len() > replay_capacity {
+                    state.replay.pop_front();
+                }
+                for client in &state.clients {
+                    if client.push(Arc::clone(&frame)) == Pushed::EvictedOldest {
+                        counters.frames_dropped.inc();
+                    }
+                }
+                drop(state);
+                counters.frames_published.inc();
+            });
+        }
 
         // Accept loop: hand each connection to its own handshake+writer
         // thread. It blocks in `accept`; `shutdown` unblocks it with a
@@ -266,41 +302,6 @@ impl RemoteTopicServer {
                         serve_client(stream, &stop, &counters, &shared, &options);
                     });
                 }
-            });
-        }
-
-        // Forward loop: local topic -> sequence assignment -> replay
-        // buffer -> per-client queues.
-        {
-            let stop = Arc::clone(&stop);
-            let counters = Arc::clone(&counters);
-            let shared = Arc::clone(&shared);
-            let options = options.clone();
-            std::thread::spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let Some(message) = subscription.recv_timeout(Duration::from_millis(20)) else {
-                    continue;
-                };
-                let mut state = shared.lock();
-                let seq = state.next_seq;
-                let Ok(frame) = Frame::data(seq, &message) else {
-                    continue; // unserializable message: skip it
-                };
-                state.next_seq += 1;
-                let frame = Arc::new(frame);
-                state.replay.push_back(Arc::clone(&frame));
-                if state.replay.len() > options.replay_capacity {
-                    state.replay.pop_front();
-                }
-                for client in &state.clients {
-                    if client.push(Arc::clone(&frame)) == Pushed::EvictedOldest {
-                        counters.frames_dropped.inc();
-                    }
-                }
-                drop(state);
-                counters.frames_published.inc();
             });
         }
 
@@ -330,8 +331,10 @@ impl RemoteTopicServer {
         self.shared.lock().clients.len()
     }
 
-    /// Stops the accept, forward, and per-client threads (also done on
-    /// drop).
+    /// Stops the accept and per-client threads (also done on drop), and
+    /// unsubscribes the server from its topic: nothing more is forwarded,
+    /// and the topic drops its forwarding sink (and with it the replay
+    /// buffer) at its next publish or `live_subscriber_count`.
     pub fn shutdown(&self) {
         if self.stop.swap(true, Ordering::Relaxed) {
             return;
@@ -416,7 +419,7 @@ fn serve_client(
     }
     counters.clients_connected.inc();
 
-    // Writer loop: park until the forward loop queues a frame or the
+    // Writer loop: park until a publish queues a frame or the
     // next heartbeat is due, whichever is first; evict on any write
     // failure. A failed *data* write and a failed *heartbeat*
     // write are counted apart: the latter means the liveness probe
@@ -1324,6 +1327,133 @@ mod tests {
             }
         }
         assert_eq!(last.as_deref(), Some("999"));
+    }
+
+    #[test]
+    fn concurrent_publishers_arrive_exactly_once_in_their_order() {
+        let broker = Broker::new();
+        let topic = broker.topic::<u32>("two-publishers");
+        // Room for the whole burst: a drop-oldest eviction would show as
+        // a gap too, and that is not what this test is about.
+        let server = RemoteTopicServer::bind_with(
+            "127.0.0.1:0",
+            topic.clone(),
+            ServerOptions {
+                client_queue_capacity: 2048,
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        let inbox = remote_subscribe_with::<u32>(server.local_addr(), fast_options()).unwrap();
+        // Publisher `p` sends p * 1000 + i. Sequence numbers are assigned
+        // and frames queued in one step under the topic lock, so the two
+        // streams interleave without a gap, a duplicate or a swap.
+        let per = 500u32;
+        let publishers: Vec<_> = (0..2u32)
+            .map(|p| {
+                let topic = topic.clone();
+                std::thread::spawn(move || {
+                    for i in 0..per {
+                        topic.publish(p * 1000 + i);
+                    }
+                })
+            })
+            .collect();
+        for publisher in publishers {
+            publisher.join().unwrap();
+        }
+        let mut got = Vec::new();
+        while got.len() < 2 * per as usize {
+            match inbox.recv_timeout(Duration::from_secs(2)) {
+                Some(v) => got.push(v),
+                None => break,
+            }
+        }
+        for p in 0..2 {
+            let mine: Vec<u32> = got.iter().copied().filter(|v| v / 1000 == p).collect();
+            assert_eq!(mine, (0..per).map(|i| p * 1000 + i).collect::<Vec<_>>());
+        }
+        assert_eq!(got.len(), 2 * per as usize);
+        let server_stats = server.stats();
+        assert_eq!(server_stats.frames_published, u64::from(2 * per));
+        assert_eq!(server_stats.frames_dropped, 0);
+        let stats = inbox.stats();
+        assert_eq!((stats.gaps_detected, stats.reconnects), (0, 0), "{stats:?}");
+    }
+
+    #[test]
+    fn publish_never_waits_for_a_stuck_writer() {
+        let broker = Broker::new();
+        let topic = broker.topic::<String>("stuck");
+        let server = RemoteTopicServer::bind_with(
+            "127.0.0.1:0",
+            topic.clone(),
+            ServerOptions {
+                client_queue_capacity: 8,
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        let mut stalled = TcpFrameTransport::connect(server.local_addr()).unwrap();
+        stalled.send(&Frame::control(FrameKind::Hello, 0)).unwrap();
+        stalled
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        assert_eq!(stalled.recv().unwrap().unwrap().kind, FrameKind::HelloAck);
+        wait_for(|| server.active_clients() == 1, "registration");
+        // As in `slow_client_queue_is_bounded_and_drops_are_counted`: big
+        // frames fill the socket buffers until the writer is stuck in
+        // `send`; the first drop means its queue is full behind it. From
+        // a full queue every publish evicts exactly one frame (from an
+        // empty one, N publishes would drop N - capacity). Publishing
+        // runs on a thread of its own, so a publish that waits for the
+        // writer fails the test instead of hanging it.
+        let n = 50u64;
+        let counters = Arc::clone(&server.counters);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let big = "x".repeat(1 << 20);
+            let mut filler = 0u64;
+            while counters.frames_dropped.get() == 0 {
+                assert!(filler < 256, "the writer never blocked");
+                topic.publish(big.clone());
+                filler += 1;
+            }
+            let before = counters.frames_dropped.get();
+            for i in 0..n {
+                topic.publish(i.to_string());
+            }
+            done_tx.send((filler, before)).unwrap();
+        });
+        let Ok((filler, before)) = done_rx.recv_timeout(Duration::from_secs(10)) else {
+            // A publish parked inside the server holds its lock, which
+            // dropping the server would wait for too.
+            std::mem::forget(server);
+            panic!("the publisher did not finish: a publish waited for the writer");
+        };
+        let stats = server.stats();
+        assert_eq!(stats.frames_dropped - before, n, "{stats:?}");
+        assert_eq!(stats.frames_published, filler + n);
+    }
+
+    #[test]
+    fn shutdown_unsubscribes_the_server() {
+        let broker = Broker::new();
+        let topic = broker.topic::<u32>("after-shutdown");
+        let local = topic.subscribe();
+        let server = RemoteTopicServer::bind("127.0.0.1:0", topic.clone()).unwrap();
+        assert_eq!(topic.publish(1), 2, "the server counts as one delivery");
+        server.shutdown();
+        // The server stops counting at once, on an idle topic too, and
+        // forwards nothing more; the topic's other subscribers are
+        // untouched.
+        assert_eq!(topic.live_subscriber_count(), 1);
+        assert_eq!(topic.publish(2), 1);
+        assert_eq!(topic.subscriber_count(), 1);
+        assert_eq!(server.stats().frames_published, 1);
+        assert_eq!(local.drain(), vec![1, 2]);
+        assert_eq!(topic.publish(3), 1);
+        assert_eq!(local.recv_timeout(Duration::from_secs(1)), Some(3));
     }
 
     #[test]

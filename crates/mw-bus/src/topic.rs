@@ -15,6 +15,19 @@ enum SubscriberTx<T> {
     /// liveness is observable without publishing a message.
     Channel(Sender<T>, Arc<AtomicBool>),
     Bounded(Arc<BoundedQueue<T>>),
+    /// A callback run on the publishing thread under the topic lock, so
+    /// it sees messages in publish order, plus a flag its owner sets to
+    /// unsubscribe it (observable without a publish, like `Channel`'s).
+    Sink(Sink<T>, Arc<AtomicBool>),
+}
+
+/// The boxed callback of a [`SubscriberTx::Sink`].
+struct Sink<T>(Box<dyn FnMut(&T) + Send>);
+
+impl<T> std::fmt::Debug for Sink<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Sink")
+    }
 }
 
 /// The publisher end of a pub/sub topic.
@@ -98,6 +111,23 @@ impl<T: Clone> Publisher<T> {
         }
     }
 
+    /// Subscribes `sink`, which the publishing thread calls with every
+    /// later message while it holds the topic lock — in publish order,
+    /// with no queue and no thread of its own. Each call counts as one
+    /// delivery. Setting `closed` unsubscribes the sink: it is not called
+    /// again and is dropped at the next publish or
+    /// [`Publisher::live_subscriber_count`].
+    pub(crate) fn subscribe_sink(
+        &self,
+        closed: Arc<AtomicBool>,
+        sink: impl FnMut(&T) + Send + 'static,
+    ) {
+        self.topic
+            .subscribers
+            .lock()
+            .push(SubscriberTx::Sink(Sink(Box::new(sink)), closed));
+    }
+
     /// Publishes a message to all current subscribers. Returns the number
     /// of subscribers the message was enqueued to (a bounded subscriber
     /// whose overflow policy discarded this message is not counted, but
@@ -105,7 +135,7 @@ impl<T: Clone> Publisher<T> {
     pub fn publish(&self, message: T) -> usize {
         let mut subs = self.topic.subscribers.lock();
         let mut delivered = 0;
-        subs.retain(|tx| match tx {
+        subs.retain_mut(|tx| match tx {
             SubscriberTx::Channel(tx, closed) => {
                 if !closed.load(Ordering::Acquire) && tx.send(message.clone()).is_ok() {
                     delivered += 1;
@@ -122,6 +152,14 @@ impl<T: Clone> Publisher<T> {
                 Pushed::Discarded => true,
                 Pushed::Closed => false,
             },
+            SubscriberTx::Sink(sink, closed) => {
+                if closed.load(Ordering::Acquire) {
+                    return false;
+                }
+                (sink.0)(&message);
+                delivered += 1;
+                true
+            }
         });
         delivered
     }
@@ -142,6 +180,7 @@ impl<T: Clone> Publisher<T> {
         subs.retain(|tx| match tx {
             SubscriberTx::Channel(_, closed) => !closed.load(Ordering::Acquire),
             SubscriberTx::Bounded(queue) => !queue.is_closed(),
+            SubscriberTx::Sink(_, closed) => !closed.load(Ordering::Acquire),
         });
         subs.len()
     }
@@ -467,6 +506,26 @@ mod tests {
         assert_eq!(topic.live_subscriber_count(), 1, "no publish needed");
         drop(b);
         assert_eq!(topic.live_subscriber_count(), 0);
+    }
+
+    #[test]
+    fn sink_sees_every_message_in_order_until_closed() {
+        let topic: Publisher<u32> = Publisher::new();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink_seen = Arc::clone(&seen);
+        let closed = Arc::new(AtomicBool::new(false));
+        topic.subscribe_sink(Arc::clone(&closed), move |&m| sink_seen.lock().push(m));
+        let s = topic.subscribe();
+        assert_eq!(topic.publish(1), 2);
+        assert_eq!(topic.publish(2), 2);
+        // Closing shows at once, without a publish, and drops the sink
+        // (and whatever its callback holds).
+        closed.store(true, Ordering::Release);
+        assert_eq!(topic.live_subscriber_count(), 1);
+        assert_eq!(Arc::strong_count(&seen), 1);
+        assert_eq!(topic.publish(3), 1);
+        assert_eq!(*seen.lock(), vec![1, 2]);
+        assert_eq!(s.drain(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -79,6 +79,10 @@ enum FuseKind {
     Reweight,
     /// A full fuse of the object's rows.
     Full,
+    /// A fuse for an id with no slot and no rows — never ingested (an
+    /// unknown-id query, a `CoLocated` partner). Nothing is stored, so
+    /// such queries intern nothing and cannot grow the slab.
+    Untracked,
 }
 
 /// One fusion pass from [`ShardState::fuse`], with what a miss stores.
@@ -245,7 +249,14 @@ impl ShardState {
             Some((result, mask)) => (FuseKind::Reweight, result, Some(mask)),
             None => {
                 let (result, mask) = engine.fuse_with_live_mask(rows, now, excluded);
-                (FuseKind::Full, result, mask)
+                // Seeded rows have no slot yet: they are stored, and the
+                // store allocates it.
+                let kind = if slot.is_none() && rows.is_empty() {
+                    FuseKind::Untracked
+                } else {
+                    FuseKind::Full
+                };
+                (kind, result, mask)
             }
         };
         Fused {
@@ -1383,10 +1394,10 @@ impl LocationService {
                     metrics.cache_misses.inc();
                     metrics.cache_reweights.inc();
                 }
-                FuseKind::Full => metrics.cache_misses.inc(),
+                FuseKind::Full | FuseKind::Untracked => metrics.cache_misses.inc(),
             }
         }
-        if fused.kind != FuseKind::Hit {
+        if matches!(fused.kind, FuseKind::Reweight | FuseKind::Full) {
             self.shard
                 .store_fusion(object, fused.entry(now, excluded_key));
         }
@@ -2411,6 +2422,38 @@ mod tests {
             .unwrap();
         assert_eq!(fix.symbolic.unwrap().to_string(), "CS/Floor3/3105");
         assert!(fix.probability > 0.8, "p={}", fix.probability);
+    }
+
+    /// Queries for ids the service never ingested store and intern
+    /// nothing; a seeded object (rows but no slot yet) still gets its
+    /// slot on the first store, so its second query is a cache hit.
+    #[test]
+    fn unknown_id_queries_do_not_grow_the_slab() {
+        let mut db = sample_db();
+        db.readings_mut()
+            .insert(reading("alice", rect(339.0, 9.0, 341.0, 11.0), 0.0));
+        let broker = Broker::new();
+        let registry = MetricsRegistry::new();
+        let svc =
+            LocationService::new_with_obs(db, rect(0.0, 0.0, 500.0, 100.0), &broker, &registry);
+        let interned = svc.interner().len();
+        let slots = svc.shard.read().epochs.len();
+        let now = SimTime::from_secs(1.0);
+        for i in 0..1000 {
+            let ghost = LocationQuery::of(format!("ghost-{i}").as_str()).at(now);
+            assert!(matches!(
+                svc.query(ghost),
+                Err(CoreError::NoLocation { .. })
+            ));
+        }
+        assert_eq!(svc.interner().len(), interned);
+        assert_eq!(svc.shard.read().epochs.len(), slots);
+
+        let hits = || registry.snapshot().counter("fusion.cache.hits");
+        svc.query(LocationQuery::of("alice").at(now)).unwrap();
+        let before = hits();
+        svc.query(LocationQuery::of("alice").at(now)).unwrap();
+        assert_eq!(hits(), Some(before.unwrap_or(0) + 1));
     }
 
     #[test]

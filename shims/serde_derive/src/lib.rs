@@ -251,6 +251,10 @@ fn gen_serialize(input: &Input) -> String {
                      let __proxy: {into_ty} = ::core::clone::Clone::clone(self).into();\n\
                      ::serde::Serialize::serialize(&__proxy)\n\
                  }}\n\
+                 fn write_json(&self, out: &mut ::std::string::String) -> ::std::result::Result<(), ::serde::Error> {{\n\
+                     let __proxy: {into_ty} = ::core::clone::Clone::clone(self).into();\n\
+                     ::serde::Serialize::write_json(&__proxy, out)\n\
+                 }}\n\
              }}"
         );
     }
@@ -316,11 +320,103 @@ fn gen_serialize(input: &Input) -> String {
             format!("match self {{\n{}\n}}", arms.join("\n"))
         }
     };
+    let write_body = gen_write_json(input);
     format!(
         "impl ::serde::Serialize for {name} {{\n\
              fn serialize(&self) -> ::serde::Value {{\n{body}\n}}\n\
+             fn write_json(&self, out: &mut ::std::string::String) -> ::std::result::Result<(), ::serde::Error> {{\n{write_body}\n}}\n\
          }}"
     )
+}
+
+/// The body of a derived `write_json`: the compact JSON of the tree that
+/// `gen_serialize`'s body builds, written field by field. Map keys are
+/// identifiers, so their JSON spelling is fixed at expansion time.
+fn gen_write_json(input: &Input) -> String {
+    let name = &input.name;
+    match &input.data {
+        Data::Unit => "out.push_str(\"null\");\n::std::result::Result::Ok(())".to_string(),
+        Data::Tuple(1) => "::serde::Serialize::write_json(&self.0, out)".to_string(),
+        Data::Tuple(n) => {
+            let fields: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+            write_seq_fields("", &fields, "")
+        }
+        Data::Named(fields) => {
+            let values: Vec<String> = fields.iter().map(|f| format!("&self.{f}")).collect();
+            write_map_fields("", fields, &values, "")
+        }
+        Data::Enum(variants) => {
+            let arms: Vec<String> = variants
+                .iter()
+                .map(|v| {
+                    let vname = &v.name;
+                    let tag = format!("{{{}", json_key(vname));
+                    match &v.shape {
+                        Shape::Unit => format!(
+                            "{name}::{vname} => {{ out.push_str({:?}); ::std::result::Result::Ok(()) }}",
+                            format!("\"{vname}\"")
+                        ),
+                        Shape::Tuple(1) => format!(
+                            "{name}::{vname}(__f0) => {{ out.push_str({tag:?}); ::serde::Serialize::write_json(__f0, out)?; out.push('}}'); ::std::result::Result::Ok(()) }}"
+                        ),
+                        Shape::Tuple(n) => {
+                            let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
+                            format!(
+                                "{name}::{vname}({}) => {{ {} }}",
+                                binds.join(", "),
+                                write_seq_fields(&tag, &binds, "}")
+                            )
+                        }
+                        Shape::Named(fields) => format!(
+                            "{name}::{vname} {{ {} }} => {{ {} }}",
+                            fields.join(", "),
+                            write_map_fields(&tag, fields, fields, "}")
+                        ),
+                    }
+                })
+                .collect();
+            format!("match self {{\n{}\n}}", arms.join("\n"))
+        }
+    }
+}
+
+/// `"name":` as JSON text (identifiers need no escaping).
+fn json_key(name: &str) -> String {
+    format!("\"{name}\":")
+}
+
+/// Writes `open`, then `[v0,v1,...]`, then `close`.
+fn write_seq_fields(open: &str, values: &[String], close: &str) -> String {
+    let mut code = format!("out.push_str({:?});\n", format!("{open}["));
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            code.push_str("out.push(',');\n");
+        }
+        code.push_str(&format!("::serde::Serialize::write_json({v}, out)?;\n"));
+    }
+    code.push_str(&format!("out.push_str({:?});\n", format!("]{close}")));
+    code.push_str("::std::result::Result::Ok(())");
+    code
+}
+
+/// Writes `open`, then `{"k0":v0,"k1":v1,...}`, then `close`.
+fn write_map_fields(open: &str, keys: &[String], values: &[String], close: &str) -> String {
+    let mut code = String::new();
+    let mut text = format!("{open}{{");
+    for (i, (k, v)) in keys.iter().zip(values).enumerate() {
+        if i > 0 {
+            text.push(',');
+        }
+        text.push_str(&json_key(k));
+        code.push_str(&format!("out.push_str({text:?});\n"));
+        code.push_str(&format!("::serde::Serialize::write_json({v}, out)?;\n"));
+        text.clear();
+    }
+    text.push('}');
+    text.push_str(close);
+    code.push_str(&format!("out.push_str({text:?});\n"));
+    code.push_str("::std::result::Result::Ok(())");
+    code
 }
 
 fn gen_deserialize(input: &Input) -> String {

@@ -1,6 +1,7 @@
 //! Offline stand-in for `serde_json`: renders and parses the serde
 //! shim's [`Value`] tree as JSON. Covers `to_string[_pretty]`, `to_vec`,
-//! `from_str`, `from_slice`, and `Error`.
+//! `from_str`, `from_slice`, and `Error`. Compact output skips the tree
+//! (`Serialize::write_json`); the writer itself is `serde::json`.
 
 use std::fmt;
 
@@ -34,15 +35,18 @@ impl From<serde::Error> for Error {
 /// corrupt frames off the wire) must not be able to overflow the stack.
 const MAX_DEPTH: usize = 128;
 
+/// Compact JSON, written by [`Serialize::write_json`] without building
+/// the `Value` tree.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.serialize(), None, 0)?;
+    // Room for a typical message without regrowing from empty.
+    let mut out = String::with_capacity(128);
+    value.write_json(&mut out)?;
     Ok(out)
 }
 
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.serialize(), Some(2), 0)?;
+    serde::json::write_value(&mut out, &value.serialize(), Some(2), 0)?;
     Ok(out)
 }
 
@@ -70,96 +74,6 @@ pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
 pub fn from_slice<T: Deserialize>(input: &[u8]) -> Result<T, Error> {
     let s = std::str::from_utf8(input).map_err(|e| Error::new(format!("invalid UTF-8: {e}")))?;
     from_str(s)
-}
-
-// --- writer ----------------------------------------------------------------
-
-fn write_value(
-    out: &mut String,
-    value: &Value,
-    indent: Option<usize>,
-    level: usize,
-) -> Result<(), Error> {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::F64(f) => {
-            if !f.is_finite() {
-                return Err(Error::new("JSON cannot represent non-finite numbers"));
-            }
-            // Rust's Display for f64 is the shortest round-trip decimal
-            // and never uses exponent notation, which is valid JSON.
-            if f.fract() == 0.0 && f.abs() < 1e15 {
-                // Keep a marker so the value re-parses as a float-typed
-                // number, matching serde_json's "1.0" output.
-                out.push_str(&format!("{f:.1}"));
-            } else {
-                out.push_str(&f.to_string());
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_break(out, indent, level + 1);
-                write_value(out, item, indent, level + 1)?;
-            }
-            if !items.is_empty() {
-                write_break(out, indent, level);
-            }
-            out.push(']');
-        }
-        Value::Map(entries) => {
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_break(out, indent, level + 1);
-                write_string(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, level + 1)?;
-            }
-            if !entries.is_empty() {
-                write_break(out, indent, level);
-            }
-            out.push('}');
-        }
-    }
-    Ok(())
-}
-
-fn write_break(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', width * level));
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // --- parser ----------------------------------------------------------------
@@ -443,6 +357,144 @@ mod tests {
         }
         assert!(to_string(&f64::NAN).is_err());
         assert!(to_string(&f64::INFINITY).is_err());
+    }
+
+    /// The compact rendering of `value`'s `Value` tree: what `to_string`
+    /// printed before it skipped the tree.
+    fn via_tree<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+        let mut out = String::new();
+        serde::json::write_value(&mut out, &value.serialize(), None, 0)?;
+        Ok(out)
+    }
+
+    #[derive(Clone, serde::Serialize)]
+    struct Unit;
+
+    #[derive(Clone, serde::Serialize)]
+    struct Newtype(f64);
+
+    #[derive(Clone, serde::Serialize)]
+    struct Pair(u8, String);
+
+    #[derive(Clone, serde::Serialize)]
+    struct Empty {}
+
+    #[derive(Clone, serde::Serialize)]
+    #[serde(into = "f64")]
+    struct Proxied(f32);
+
+    impl From<Proxied> for f64 {
+        fn from(p: Proxied) -> f64 {
+            f64::from(p.0) * 2.0
+        }
+    }
+
+    #[derive(Clone, serde::Serialize)]
+    enum Shape {
+        Dot,
+        Tagged(i32),
+        Pair(Option<u64>, char),
+        Named { key: String, values: Vec<Newtype> },
+        Hollow {},
+    }
+
+    #[derive(Clone, serde::Serialize)]
+    struct Record {
+        id: u64,
+        name: String,
+        unit: Unit,
+        pair: Pair,
+        empty: Empty,
+        proxied: Proxied,
+        shapes: Vec<Shape>,
+        tuple: (i8, bool, Option<String>),
+        sorted: std::collections::BTreeMap<String, f32>,
+        hashed: std::collections::HashMap<String, Vec<u16>>,
+        shared: std::sync::Arc<str>,
+        boxed: Box<[Shape]>,
+        tree: serde::Value,
+    }
+
+    fn record(seed: u64) -> Record {
+        // A small LCG: varied numbers and strings without a dependency.
+        let mut state = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let text = |n: u64| {
+            [
+                "plain",
+                "quo\"te",
+                "back\\slash",
+                "tab\tnl\ncr\r",
+                "ctl\u{1}\u{1f}",
+                "ünï λ 🎉",
+                "",
+            ][(n % 7) as usize]
+                .repeat(1 + (n % 3) as usize)
+        };
+        let float = |n: u64| match n % 6 {
+            0 => (n as f64) * 0.5,
+            1 => -(n as f64) / 7.0,
+            2 => 1e300 / (1 + n % 9) as f64,
+            3 => 1e-300 * (n % 5) as f64,
+            4 => 4.0e15 + n as f64,
+            _ => (n % 1000) as f64,
+        };
+        let single = |n: u64| (n % 100_000) as f32 / [1.0, 8.0, 3.0][(n % 3) as usize];
+        Record {
+            id: next(),
+            name: text(next()),
+            unit: Unit,
+            pair: Pair(next() as u8, text(next())),
+            empty: Empty {},
+            proxied: Proxied(single(next())),
+            shapes: vec![
+                Shape::Dot,
+                Shape::Tagged(next() as i32),
+                Shape::Pair(Some(next()).filter(|n| n % 2 == 0), 'é'),
+                Shape::Named {
+                    key: text(next()),
+                    values: (0..next() % 4).map(|_| Newtype(float(next()))).collect(),
+                },
+                Shape::Hollow {},
+            ],
+            tuple: (next() as i8, next() % 2 == 0, Some(text(next()))),
+            sorted: (0..3).map(|_| (text(next()), single(next()))).collect(),
+            hashed: (0..4)
+                .map(|i| (format!("k{i}{}", text(next())), vec![next() as u16; i]))
+                .collect(),
+            shared: text(next()).into(),
+            boxed: vec![Shape::Tagged(-1), Shape::Dot].into_boxed_slice(),
+            tree: serde::Value::Map(vec![
+                ("n".into(), serde::Value::I64(-(next() as i64))),
+                (
+                    "s".into(),
+                    serde::Value::Seq(vec![serde::Value::Null, serde::Value::F64(float(next()))]),
+                ),
+            ]),
+        }
+    }
+
+    #[test]
+    fn compact_output_matches_the_tree_rendering() {
+        for seed in 0..200 {
+            let r = record(seed);
+            assert_eq!(to_string(&r).unwrap(), via_tree(&r).unwrap(), "seed {seed}");
+        }
+        // A non-finite float fails both ways.
+        let mut r = record(1);
+        r.shapes.push(Shape::Named {
+            key: String::new(),
+            values: vec![Newtype(f64::NAN)],
+        });
+        assert_eq!(to_string(&r), via_tree(&r));
+        assert!(to_string(&r).is_err());
     }
 
     #[test]
